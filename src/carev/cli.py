@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import statistics
 import sys
@@ -425,8 +424,7 @@ def _median_time(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
-def bench_case(p: int, dims, repeats: int = 5, baseline_cap: int = 4096,
-               force_backend: str | None = None):
+def bench_case(p: int, dims, repeats: int = 5, baseline_cap: int = 4096):
     """One benchmark row.  The structured check never materializes the full
     transition matrix; the dense side runs elimination on the N x N matrix.
     Returns (N, t_structured, t_dense or None)."""
@@ -437,15 +435,11 @@ def bench_case(p: int, dims, repeats: int = 5, baseline_cap: int = 4096,
     t_dense = None
     if n <= baseline_cap:
         mat = build_T(rule, size_cap=baseline_cap).int_matrix()
-        kernels.det_mod(mat, p, force=force_backend)  # warm (JIT) once
-        t_dense = _median_time(
-            lambda: kernels.det_mod(mat, p, force=force_backend), repeats
-        )
+        t_dense = _median_time(lambda: kernels.det_mod(mat, p), repeats)
     return n, t_structured, t_dense
 
 
 def cmd_bench(args) -> int:
-    kernels.warmup()
     dims_list = [_parse_dims(t) for t in args.dims] or [(12, 12, 12)]
     rows = []
     for dims in dims_list:
@@ -462,26 +456,6 @@ def cmd_bench(args) -> int:
     if args.out:
         serialize.atomic_write_text(args.out, text)
     sys.stdout.write(text)
-    if args.compare_backends:
-        print("backend comparison (dense elimination):")
-        for dims in dims_list:
-            n = math.prod(dims)
-            if n > args.baseline_cap:
-                continue
-            parts = [f"N={n}"]
-            for backend in ("numba", "numpy"):
-                try:
-                    _, _, t_d = bench_case(
-                        args.p,
-                        dims,
-                        repeats=args.repeats,
-                        baseline_cap=args.baseline_cap,
-                        force_backend=backend,
-                    )
-                    parts.append(f"{backend}={t_d:.6f}s")
-                except RuntimeError as exc:
-                    parts.append(f"{backend}=unavailable ({exc})")
-            print("  " + " ".join(parts))
     return EXIT_OK
 
 
@@ -566,11 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip the dense baseline above this matrix size",
     )
     sp.add_argument("--out", help="write the CSV here as well as stdout")
-    sp.add_argument(
-        "--compare-backends",
-        action="store_true",
-        help="also time the dense kernels under both backends",
-    )
     sp.set_defaults(fn=cmd_bench)
 
     return parser

@@ -57,14 +57,6 @@ class NotReversible(CarevError):
         self.witness = witness
 
 
-class NotInDomain(CarevError):
-    """Pair (t1, t2) admits no square root of t1*t2 in Z_p."""
-
-
-class OddPrimeRequired(CarevError):
-    """The residue-class machinery needs an odd prime."""
-
-
 class InternalVerificationFailed(CarevError):
     """An exact self-check failed; indicates a bug, not bad input."""
 

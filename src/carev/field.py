@@ -7,7 +7,6 @@ degree order), so they are hashable, immutable and safe to share.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import zlib
@@ -126,19 +125,11 @@ class PrimeField:
     def coeff_vector(self, a) -> tuple:
         return (a,)
 
-    def from_coeffs(self, c) -> int:
-        if any(int(x) % self.p for x in c[1:]):
-            raise FieldMismatch("nonzero extension coordinates")
-        return int(c[0]) % self.p if len(c) else 0
-
     def sort_key(self, a):
         return (a,)
 
     def rand_elem(self, rng: random.Random):
         return rng.randrange(self.p)
-
-    def all_elements(self):
-        return range(self.p)
 
     def render(self, a) -> str:
         return str(a)
@@ -287,24 +278,11 @@ class ExtField:
     def coeff_vector(self, a) -> tuple:
         return a
 
-    def from_coeffs(self, c):
-        return self.elem(tuple(c))
-
-    def project(self, a) -> int:
-        """Base-field value of an element, or raise if it has ext coordinates."""
-        if any(a[1:]):
-            raise FieldMismatch(f"element {a} is not in the base field")
-        return a[0]
-
     def sort_key(self, a):
         return a
 
     def rand_elem(self, rng: random.Random):
         return tuple(rng.randrange(self.p) for _ in range(self.k))
-
-    def all_elements(self):
-        for rev in itertools.product(range(self.p), repeat=self.k):
-            yield tuple(reversed(rev))
 
     def render(self, a) -> str:
         terms = []

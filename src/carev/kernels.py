@@ -1,47 +1,22 @@
 """Hot integer kernels: mod-p matrix multiply, Gaussian elimination, and
 cellular-automaton stepping.
 
-Every kernel has a numba-compiled implementation and a pure-numpy fallback.
-The active backend is chosen by the CAREV_BACKEND environment variable:
-"auto" (default; numba when importable), "numba", or "numpy".  All kernels
-accept int64 arrays with entries in [0, p) and return arrays of the same
-kind; results are exact for p < 2^31.
+The kernels are vectorised numpy on int64 arrays with entries in [0, p) and
+return arrays of the same kind; results are exact for p < 2^31.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_env = os.environ.get("CAREV_BACKEND", "auto").strip().lower()
-if _env not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"CAREV_BACKEND must be one of auto/numba/numpy, got {_env!r}"
-    )
-
-_HAVE_NUMBA = False
-if _env in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _env == "numba":
-            raise
 
 
 def backend() -> str:
-    """Name of the backend serving the default dispatch."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the kernel implementation."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def matmul_mod_np(a, b, p: int):
+def matmul_mod(a, b, p: int):
+    """(a @ b) mod p for int64 matrices."""
     a = np.ascontiguousarray(a)
     b = np.ascontiguousarray(b)
     n = a.shape[1]
@@ -53,7 +28,8 @@ def matmul_mod_np(a, b, p: int):
     return out
 
 
-def det_mod_np(a, p: int) -> int:
+def det_mod(a, p: int) -> int:
+    """det(a) mod p by Gaussian elimination with first-nonzero pivoting."""
     m = np.array(a, dtype=np.int64) % p
     n = m.shape[0]
     det = 1
@@ -75,7 +51,8 @@ def det_mod_np(a, p: int) -> int:
     return det
 
 
-def inv_mod_np(a, p: int):
+def inv_mod(a, p: int):
+    """Inverse of a mod p, or None when singular."""
     m = np.array(a, dtype=np.int64) % p
     n = m.shape[0]
     aug = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1)
@@ -97,9 +74,10 @@ def inv_mod_np(a, p: int):
     return aug[:, n:]
 
 
-def evolve_step_np(x, c: int, lo, hi, p: int):
-    """One synchronous update of a d-dimensional pattern, null boundary."""
-    x = np.asarray(x)
+def evolve_step(x, c: int, lo, hi, p: int):
+    """One synchronous CA update of a d-dimensional int64 array under null
+    boundaries; lo/hi are the (d, eta) left and right bands."""
+    x = np.ascontiguousarray(x, dtype=np.int64)
     out = (c * x) % p
     d = x.ndim
     for axis in range(d):
@@ -122,188 +100,3 @@ def evolve_step_np(x, c: int, lo, hi, p: int):
                 src[axis] = slice(lam, m)
                 out[tuple(dst)] = (out[tuple(dst)] + r * x[tuple(src)]) % p
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _modinv_nb(a, p):
-        # Extended Euclid; a must be nonzero mod p.
-        t, new_t = 0, 1
-        r, new_r = p, a % p
-        while new_r != 0:
-            q = r // new_r
-            t, new_t = new_t, t - q * new_t
-            r, new_r = new_r, r - q * new_r
-        return t % p
-
-    @njit(cache=True)
-    def _matmul_mod_nb(a, b, p):
-        n, k = a.shape
-        m = b.shape[1]
-        out = np.zeros((n, m), dtype=np.int64)
-        for i in range(n):
-            for j in range(m):
-                acc = 0
-                for t in range(k):
-                    acc = (acc + a[i, t] * b[t, j]) % p
-                out[i, j] = acc
-        return out
-
-    @njit(cache=True)
-    def _det_mod_nb(a, p):
-        n = a.shape[0]
-        m = a % p
-        det = 1
-        for col in range(n):
-            piv = -1
-            for r in range(col, n):
-                if m[r, col] != 0:
-                    piv = r
-                    break
-            if piv < 0:
-                return 0
-            if piv != col:
-                for j in range(col, n):
-                    tmp = m[col, j]
-                    m[col, j] = m[piv, j]
-                    m[piv, j] = tmp
-                det = (p - det) % p
-            det = det * m[col, col] % p
-            inv = _modinv_nb(m[col, col], p)
-            for r in range(col + 1, n):
-                f = m[r, col] * inv % p
-                if f != 0:
-                    for j in range(col, n):
-                        m[r, j] = (m[r, j] - f * m[col, j]) % p
-        return det
-
-    @njit(cache=True)
-    def _inv_mod_nb(a, p):
-        n = a.shape[0]
-        aug = np.zeros((n, 2 * n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                aug[i, j] = a[i, j] % p
-            aug[i, n + i] = 1
-        for col in range(n):
-            piv = -1
-            for r in range(col, n):
-                if aug[r, col] != 0:
-                    piv = r
-                    break
-            if piv < 0:
-                return False, aug[:, n:]
-            if piv != col:
-                for j in range(2 * n):
-                    tmp = aug[col, j]
-                    aug[col, j] = aug[piv, j]
-                    aug[piv, j] = tmp
-            inv = _modinv_nb(aug[col, col], p)
-            for j in range(2 * n):
-                aug[col, j] = aug[col, j] * inv % p
-            for r in range(n):
-                if r != col and aug[r, col] != 0:
-                    f = aug[r, col]
-                    for j in range(2 * n):
-                        aug[r, j] = (aug[r, j] - f * aug[col, j]) % p
-        return True, np.ascontiguousarray(aug[:, n:])
-
-    @njit(cache=True)
-    def _evolve_step_nb(x, dims, c, lo, hi, p):
-        n = x.size
-        d = dims.size
-        eta = lo.shape[1]
-        strides = np.ones(d, dtype=np.int64)
-        for a in range(d - 2, -1, -1):
-            strides[a] = strides[a + 1] * dims[a + 1]
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            out[i] = c * x[i] % p
-        for axis in range(d):
-            st = strides[axis]
-            m = dims[axis]
-            for lam in range(1, eta + 1):
-                if lam >= m:
-                    continue
-                ell = lo[axis, lam - 1]
-                r = hi[axis, lam - 1]
-                if ell == 0 and r == 0:
-                    continue
-                for i in range(n):
-                    coord = (i // st) % m
-                    if ell != 0 and coord >= lam:
-                        out[i] = (out[i] + ell * x[i - lam * st]) % p
-                    if r != 0 and coord + lam < m:
-                        out[i] = (out[i] + r * x[i + lam * st]) % p
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
-
-
-def _resolve(force: str | None) -> str:
-    if force is None:
-        return backend()
-    if force not in ("numba", "numpy"):
-        raise RuntimeError(f"unknown backend {force!r}; use 'numba' or 'numpy'")
-    if force == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return force
-
-
-def matmul_mod(a, b, p: int, force: str | None = None):
-    """(a @ b) mod p for int64 matrices."""
-    use = _resolve(force)
-    if use == "numba" and _HAVE_NUMBA:
-        return _matmul_mod_nb(
-            np.ascontiguousarray(a, dtype=np.int64),
-            np.ascontiguousarray(b, dtype=np.int64),
-            p,
-        )
-    return matmul_mod_np(a, b, p)
-
-
-def det_mod(a, p: int, force: str | None = None) -> int:
-    """det(a) mod p by Gaussian elimination with first-nonzero pivoting."""
-    use = _resolve(force)
-    if use == "numba" and _HAVE_NUMBA:
-        return int(_det_mod_nb(np.ascontiguousarray(a, dtype=np.int64), p))
-    return det_mod_np(a, p)
-
-
-def inv_mod(a, p: int, force: str | None = None):
-    """Inverse of a mod p, or None when singular."""
-    use = _resolve(force)
-    if use == "numba" and _HAVE_NUMBA:
-        ok, out = _inv_mod_nb(np.ascontiguousarray(a, dtype=np.int64), p)
-        return out if ok else None
-    return inv_mod_np(a, p)
-
-
-def evolve_step(x, c: int, lo, hi, p: int, force: str | None = None):
-    """One CA step on a d-dimensional int64 array; lo/hi are (d, eta) bands."""
-    x = np.ascontiguousarray(x, dtype=np.int64)
-    lo = np.ascontiguousarray(lo, dtype=np.int64)
-    hi = np.ascontiguousarray(hi, dtype=np.int64)
-    use = _resolve(force)
-    if use == "numba" and _HAVE_NUMBA:
-        dims = np.array(x.shape, dtype=np.int64)
-        flat = _evolve_step_nb(x.reshape(-1), dims, c, lo, hi, p)
-        return flat.reshape(x.shape)
-    return evolve_step_np(x, c, lo, hi, p)
-
-
-def warmup():
-    """Trigger JIT compilation of all kernels on toy inputs."""
-    a = np.array([[1, 0], [0, 1]], dtype=np.int64)
-    matmul_mod(a, a, 5)
-    det_mod(a, 5)
-    inv_mod(a, 5)
-    evolve_step(a, 1, np.ones((2, 1), dtype=np.int64), np.ones((2, 1), dtype=np.int64), 5)

@@ -21,9 +21,7 @@ from .charpoly import g_poly
 from .errors import (
     FieldMismatch,
     InternalVerificationFailed,
-    NotInDomain,
     NotReversible,
-    OddPrimeRequired,
     Singular,
     SingularBlock,
 )
@@ -136,103 +134,6 @@ def is_reversible(rule: RuleSpec):
     """Decision plus a zero-sum witness when irreversible."""
     rep = reversibility(rule)
     return rep.reversible, rep.witness
-
-
-# ---------------------------------------------------------------------------
-# Quadratic-residue fast path
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QRLContext:
-    p: int
-    residues: frozenset  # nonzero squares mod p
-
-    def same_partition(self, t1: int, t2: int) -> bool:
-        return (t1 % self.p) * (t2 % self.p) % self.p in self.residues
-
-
-def qrl_context(p: int) -> QRLContext:
-    if p == 2:
-        raise OddPrimeRequired("the residue-class fast path needs an odd prime")
-    PrimeField(p)  # validates primality
-    residues = frozenset(pow(t, 2, p) for t in range(1, p))
-    return QRLContext(p=p, residues=residues)
-
-
-def _sqrt_mod(a: int, p: int) -> int:
-    """A square root of a quadratic residue a mod odd prime p (Tonelli-Shanks)."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
-
-
-def k_of(ctx: QRLContext, t1: int, t2: int) -> int:
-    """Minimal square root of t1*t2 mod p; equals t1 when t1 = t2."""
-    p = ctx.p
-    t1 %= p
-    t2 %= p
-    if t1 == t2:
-        return t1
-    prod = t1 * t2 % p
-    if prod not in ctx.residues:
-        raise NotInDomain(f"pair ({t1}, {t2}) has no square-root scaling mod {p}")
-    r = _sqrt_mod(prod, p)
-    return min(r, p - r)
-
-
-def scaled_axis_spectra(rule: RuleSpec):
-    """Reciprocal-scaling path: per-axis roots as k(t1,t2) times the roots of
-    the unit tridiagonal block.  Requires eta = 1 bands and odd p."""
-    ctx = qrl_context(rule.p)
-    field = rule.field
-    polys = []
-    ks = []
-    for a in range(rule.d):
-        ell, r = rule.effective_bands(a)
-        if len(ell) != 1:
-            raise NotInDomain("scaling path needs single-offset bands")
-        ks.append(k_of(ctx, ell[0], r[0]))
-        polys.append(g_poly(field, rule.dims[a], field.one).poly)
-    E = splitting_field(polys, verify=False)
-    spectra = []
-    for a, f in enumerate(polys):
-        base_roots = roots_with_multiplicity(f, E)
-        k_elem = E.embed(ks[a])
-        scaled = [(E.mul(k_elem, lam), mult) for lam, mult in base_roots]
-        if a == 0 and rule.c:
-            shift = E.embed(rule.c)
-            scaled = [(E.add(lam, shift), mult) for lam, mult in scaled]
-        scaled.sort(key=lambda t: E.sort_key(t[0]))
-        spectra.append(AxisSpectrum(axis=a, poly=f, roots=tuple(scaled)))
-    return E, spectra
-
-
-def is_reversible_scaled(rule: RuleSpec):
-    E, spectra = scaled_axis_spectra(rule)
-    witness = _minkowski_zero(E, spectra)
-    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------

@@ -249,11 +249,6 @@ def toeplitz(field, size: int, lower, upper) -> FMatrix:
     return FMatrix(field, data)
 
 
-def k_matrix(field, r: int) -> FMatrix:
-    """The 0/1 tridiagonal block: ones on sub- and superdiagonal."""
-    return toeplitz(field, r, [field.one], [field.one])
-
-
 def kron_product(a: FMatrix, b: FMatrix) -> FMatrix:
     if a.field != b.field:
         raise FieldMismatch("Kronecker product needs a common field")

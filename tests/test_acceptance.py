@@ -85,7 +85,6 @@ def _random_pattern(rng, rule):
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm():
-    kernels.warmup()
     # Warm the small-field caches used by the timed criteria.
     reversibility(_all_ones(5, (2, 2, 2)))
     reversibility(_all_ones(3, (4, 4, 4)))

@@ -1,9 +1,12 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
-import pytest
-
+import carev
 from carev import serialize
 from carev.cli import main
 
@@ -131,6 +134,19 @@ def test_paper_examples_list(capsys):
     assert main(["paper-examples", "--list"]) == 0
     out = capsys.readouterr().out
     assert "cube222-inverse-p7" in out
+
+
+def test_cli_ignores_removed_backend_variable():
+    # The kernel backend switch is gone; a stale setting must not break import.
+    src = str(Path(carev.__file__).resolve().parent.parent)
+    env = dict(os.environ, CAREV_BACKEND="numba")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "carev.cli", "paper-examples", "--list"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cube222-inverse-p7" in proc.stdout
 
 
 def test_paper_examples_perturbed_golden_fails(tmp_path, capsys):

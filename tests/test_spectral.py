@@ -5,7 +5,7 @@ import pytest
 
 from carev import oracle
 from carev.ca import RuleSpec, axis_matrix, build_T
-from carev.errors import NotInDomain, NotReversible, OddPrimeRequired, SingularBlock
+from carev.errors import NotReversible, SingularBlock
 from carev.field import ExtField, PrimeField, canonical_modulus
 from carev.spectral import (
     axis_char_poly,
@@ -14,12 +14,8 @@ from carev.spectral import (
     generalized_jordan,
     invert_T,
     is_reversible,
-    is_reversible_scaled,
     jordan_axis,
-    k_of,
-    qrl_context,
     reversibility,
-    scaled_axis_spectra,
 )
 from carev.structmat import FMatrix
 
@@ -185,49 +181,3 @@ def test_block_triangular_inverse_singular_block():
     with pytest.raises(SingularBlock) as err:
         block_triangular_inverse([good, bad], [1])
     assert err.value.index == 1
-
-
-def test_qrl_context_and_k_of():
-    ctx = qrl_context(5)
-    for t in range(1, 5):
-        assert k_of(ctx, t, t) == t
-    # 2 * 3 = 6 = 1 is a square; k is the smaller square root of t1*t2.
-    assert k_of(ctx, 2, 3) == 1
-    with pytest.raises(NotInDomain):
-        k_of(ctx, 1, 2)  # 2 is not a quadratic residue mod 5
-    with pytest.raises(OddPrimeRequired):
-        qrl_context(2)
-
-
-def test_scaled_spectra_agrees_with_plain():
-    rng = random.Random(73)
-    checked = 0
-    while checked < 30:
-        p = rng.choice([5, 7, 13])
-        ctx = qrl_context(p)
-        d = rng.randint(1, 3)
-        dims = tuple(rng.randint(2, 4) for _ in range(d))
-        pairs = []
-        for _ in range(d):
-            while True:
-                t1, t2 = rng.randrange(1, p), rng.randrange(1, p)
-                if t1 == t2 or ctx.same_partition(t1, t2):
-                    pairs.append((t1, t2))
-                    break
-        rule = RuleSpec(
-            p=p,
-            dims=dims,
-            c=rng.randrange(p),
-            axes=tuple(((t1,), (t2,)) for t1, t2 in pairs),
-            eta=1,
-        )
-        assert is_reversible_scaled(rule)[0] == is_reversible(rule)[0]
-        checked += 1
-
-
-def test_scaled_spectra_eigenvalues_scale_by_k():
-    rule = RuleSpec(p=5, dims=(2,), c=0, axes=(((2,), (3,)),), eta=1)
-    E, spectra = scaled_axis_spectra(rule)
-    vals = sorted(lam for lam, _ in spectra[0].roots)
-    # k(2, 3) = 1, so the spectrum is {-1, 1} = {1, 4}.
-    assert vals == [1, 4]

@@ -8,7 +8,6 @@ from carev.field import ExtField, PrimeField, canonical_modulus
 from carev.structmat import (
     FMatrix,
     dot_kron,
-    k_matrix,
     kron_dot,
     kron_many,
     kron_product,
@@ -42,11 +41,6 @@ def test_toeplitz_wide_band():
     assert s.at(4, 2) == 2 and s.at(2, 4) == 4
     with pytest.raises(BandTooWide):
         toeplitz(F, 3, (1, 1, 1), (1, 1, 1))
-
-
-def test_k_matrix_is_unit_band():
-    F = PrimeField(3)
-    assert k_matrix(F, 3) == toeplitz(F, 3, (1,), (1,))
 
 
 def test_matmul_matches_oracle_definition():
