@@ -207,17 +207,16 @@ def apply_matrix(m: FMatrix, pattern: Pattern) -> Pattern:
     return theta_inv(w, pattern.dims, pattern.p)
 
 
-def evolve_matrix(rule: RuleSpec, pattern: Pattern, steps: int,
-                  matrix: FMatrix | None = None) -> Pattern:
-    """Evolve by repeated matrix application in the flattened space."""
+def evolve_matrix(rule: RuleSpec, pattern: Pattern, steps: int) -> Pattern:
+    """Evolve by repeated matrix application in the flattened space (the
+    dense reference for the stencil steps of evolve_local)."""
     if steps < 0:
         raise InputError("steps must be >= 0")
     if pattern.dims != rule.dims or pattern.p != rule.p:
         raise ShapeMismatch("pattern does not match the rule's grid")
     if steps == 0:
         return pattern
-    m = matrix if matrix is not None else build_T(rule)
-    mat = m.int_matrix()
+    mat = build_T(rule).int_matrix()
     v = theta(pattern)[:, None]
     for _ in range(steps):
         v = kernels.matmul_mod(mat, v, rule.p)

@@ -41,14 +41,6 @@ class Singular(CarevError):
     """Matrix has zero determinant where an inverse was requested."""
 
 
-class SingularBlock(Singular):
-    """A diagonal block in a block-triangular inversion is singular."""
-
-    def __init__(self, index: int):
-        super().__init__(f"diagonal block {index} is singular")
-        self.index = index
-
-
 class NotReversible(CarevError):
     """The cellular automaton is not reversible; carries a witness."""
 

@@ -34,11 +34,7 @@ def det_mod(a, p: int) -> int:
     n = m.shape[0]
     det = 1
     for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if m[r, col]:
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if m[r, col]), -1)
         if piv < 0:
             return 0
         if piv != col:
@@ -57,11 +53,7 @@ def inv_mod(a, p: int):
     n = m.shape[0]
     aug = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1)
     for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if aug[r, col]:
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if aug[r, col]), -1)
         if piv < 0:
             return None
         if piv != col:
@@ -75,28 +67,20 @@ def inv_mod(a, p: int):
 
 
 def evolve_step(x, c: int, lo, hi, p: int):
-    """One synchronous CA update of a d-dimensional int64 array under null
-    boundaries; lo/hi are the (d, eta) left and right bands."""
+    """One synchronous CA update of an int64 array under null boundaries;
+    lo/hi are the (d, eta) left and right bands for the leading d axes of x.
+    Trailing axes of x beyond the first d are a batch."""
     x = np.ascontiguousarray(x, dtype=np.int64)
     out = (c * x) % p
-    d = x.ndim
-    for axis in range(d):
+    for axis in range(lo.shape[0]):
         m = x.shape[axis]
-        for lam in range(1, lo.shape[1] + 1):
-            if lam >= m:
-                continue
-            ell = int(lo[axis, lam - 1])
-            r = int(hi[axis, lam - 1])
-            if ell:
-                dst = [slice(None)] * d
-                src = [slice(None)] * d
-                dst[axis] = slice(lam, m)
-                src[axis] = slice(0, m - lam)
-                out[tuple(dst)] = (out[tuple(dst)] + ell * x[tuple(src)]) % p
-            if r:
-                dst = [slice(None)] * d
-                src = [slice(None)] * d
-                dst[axis] = slice(0, m - lam)
-                src[axis] = slice(lam, m)
-                out[tuple(dst)] = (out[tuple(dst)] + r * x[tuple(src)]) % p
+        for lam in range(1, min(lo.shape[1], m - 1) + 1):
+            near, far = [slice(None)] * x.ndim, [slice(None)] * x.ndim
+            near[axis], far[axis] = slice(0, m - lam), slice(lam, m)
+            near, far = tuple(near), tuple(far)
+            ell, r = int(lo[axis, lam - 1]), int(hi[axis, lam - 1])
+            if ell:  # cell i gains ell times cell i - lam
+                out[far] = (out[far] + ell * x[near]) % p
+            if r:  # cell i gains r times cell i + lam
+                out[near] = (out[near] + r * x[far]) % p
     return out

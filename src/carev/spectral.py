@@ -3,31 +3,41 @@
 The transition matrix is a nested Kronecker sum of per-axis banded Toeplitz
 blocks, so its eigenvalues are all sums of per-axis eigenvalues taken in a
 common splitting field.  Reversibility is decided from that Minkowski sum
-without ever materializing the matrix; the inverse, when it exists, is
-assembled from per-axis Jordan bases, a sparse nested block-bidiagonal
-inverse, and Kronecker-factored conjugation.
+without ever materializing the matrix.  The inverse, when it exists, is
+applied as U J^-1 U^-1 from per-axis Jordan bases: U is Kronecker-factored
+and J^-1 is a solve with the nested Jordan form, never a formed matrix.
+Every result is verified by re-applying the forward stencil.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels, oracle
-from .ca import RuleSpec, axis_matrix, build_T
+from .ca import Pattern, RuleSpec, axis_matrix, build_T, theta, theta_inv
 from .charpoly import g_poly
 from .errors import (
     FieldMismatch,
     InternalVerificationFailed,
     NotReversible,
     Singular,
-    SingularBlock,
+    SizeCapExceeded,
 )
-from .field import ExtField, Poly, PrimeField, roots_with_multiplicity, splitting_field
+from .field import Poly, PrimeField, roots_with_multiplicity, splitting_field
 from .oracle import SpanTracker
-from .structmat import FMatrix, dot_kron, kron_dot, kron_many, kron_sum
+from .structmat import (
+    MATRIX_SIZE_CAP,
+    FMatrix,
+    coord_inv,
+    coord_mul,
+    kron_dot,
+    kron_many,
+    kron_sum,
+)
 
 # Full conjugation re-verification is only affordable up to this size; the
 # per-axis conjugations are verified exactly at every size.
@@ -192,26 +202,19 @@ def jordan_axis(s_mat: FMatrix, E, poly: Poly | None = None):
             layout.append((lam, height_j))
     u = FMatrix.from_rows(E, [[col[i] for col in columns] for i in range(n)])
     # Assemble J from the layout.
-    j_rows = [[E.zero] * n for _ in range(n)]
-    eps = []
-    pos = 0
-    for lam, size in layout:
-        for t in range(size):
-            j_rows[pos + t][pos + t] = lam
-            if t + 1 < size:
-                j_rows[pos + t][pos + t + 1] = E.one
-        eps.extend([1] * (size - 1))
-        if pos + size < n:
-            eps.append(0)
-        pos += size
-    j = FMatrix.from_rows(E, j_rows)
+    diag = [lam for lam, size in layout for _ in range(size)]
+    eps = tuple(int(t + 1 < size) for _, size in layout for t in range(size))[:-1]
+    j = FMatrix.from_rows(
+        E, [[diag[r] if c == r else eps[r] if c == r + 1 else 0 for c in range(n)]
+            for r in range(n)]
+    )
     try:
         u_inv = oracle.inverse(u)
     except Singular as exc:  # pragma: no cover - guards bugs
         raise InternalVerificationFailed("Jordan basis is singular") from exc
     if se @ u != u @ j:
         raise InternalVerificationFailed("axis conjugation check failed")
-    return u, u_inv, j, tuple(eps), layout
+    return u, u_inv, j, eps, layout
 
 
 @dataclass(frozen=True)
@@ -236,9 +239,6 @@ class GenJordan:
     def U(self) -> FMatrix:
         return kron_many(list(reversed(self.axis_U)))
 
-    def U_inv(self) -> FMatrix:
-        return kron_many(list(reversed(self.axis_U_inv)))
-
     def J(self) -> FMatrix:
         j = self.axis_J[0]
         for jk in self.axis_J[1:]:
@@ -247,17 +247,58 @@ class GenJordan:
 
     def diagonal(self):
         """Eigenvalues along the diagonal of J, in nested order."""
+        k = self._diag.shape[-1]
+        return [self.field.elem(v) for v in self._diag.reshape(-1, k).tolist()]
+
+    @cached_property
+    def _diag(self):
+        """Coordinates of the diagonal D of J, shaped (n_d, ..., n_1, k) so
+        that axis 1 varies fastest, as in the nested order."""
         E = self.field
-        per_axis = []
-        for layout in self.axis_layout:
-            vals = []
-            for lam, size in layout:
-                vals.extend([lam] * size)
-            per_axis.append(vals)
-        diag = [E.zero]
-        for vals in per_axis:
-            diag = [E.add(s, lam) for lam in vals for s in diag]
+        k = getattr(E, "k", 1)
+        diag = np.zeros((1,) * self.rule.d + (k,), dtype=self.axis_U[0].data.dtype)
+        for a, layout in enumerate(self.axis_layout):
+            vals = [E.coeff_vector(lam) for lam, size in layout for _ in range(size)]
+            vals = np.array(vals, dtype=diag.dtype).reshape((-1,) + (1,) * a + (k,))
+            diag = (diag + vals) % E.char
         return diag
+
+    @cached_property
+    def _diag_inv(self):
+        diag = self._diag
+        if not diag.any(axis=-1).all():
+            raise Singular("J has a zero eigenvalue sum on its diagonal")
+        # Invert each distinct sum once; coordinates are < p < 2^31.
+        vals, where = np.unique(
+            diag.reshape(-1, diag.shape[-1]).astype(np.int64), axis=0, return_inverse=True
+        )
+        inv = coord_inv(self.field, vals.astype(diag.dtype))
+        return inv[where.reshape(-1)].reshape(diag.shape)
+
+    def solve(self, x: FMatrix) -> FMatrix:
+        """J^-1 x for a column block x over the field of J, without forming
+        J^-1.
+
+        J = D + N with D diagonal and N nilpotent.  D is constant along each
+        Jordan chain, so D and N commute and N^(s+1) = 0 for s the sum over
+        axes of (largest block size - 1).  Hence y = D^-1 x followed by s
+        rounds of y <- D^-1 (x - N y) is exact; a diagonalizable J needs only
+        the elementwise division."""
+        E = self.field
+        d = self.rule.d
+        xs = x.data.reshape(tuple(reversed(self.rule.dims)) + x.data.shape[1:])
+        dinv = self._diag_inv[..., None, :]
+        y = coord_mul(E, dinv, xs)
+        rounds = sum(max(size for _, size in layout) - 1 for layout in self.axis_layout)
+        for _ in range(rounds):
+            ny = np.zeros_like(y)  # N y: entry i of axis a gains i + 1 where eps_a[i] = 1
+            for a, eps in enumerate(self.axis_eps):
+                at, nxt = [slice(None)] * y.ndim, [slice(None)] * y.ndim
+                at[d - 1 - a] = np.flatnonzero(eps)
+                nxt[d - 1 - a] = at[d - 1 - a] + 1
+                ny[tuple(at)] += y[tuple(nxt)]
+            y = coord_mul(E, dinv, (xs - ny) % E.char)
+        return FMatrix(E, y.reshape(x.data.shape))
 
 
 def generalized_jordan(rule: RuleSpec, rep: Reversibility | None = None) -> GenJordan:
@@ -265,146 +306,97 @@ def generalized_jordan(rule: RuleSpec, rep: Reversibility | None = None) -> GenJ
         E, spectra = axis_spectra(rule)
     else:
         E, spectra = rep.field, rep.spectra
-    us, uinvs, js, epss, layouts, diags = [], [], [], [], [], []
-    field = rule.field
+    per_axis = []
+    cache = {}  # identical axes share one Jordan computation
     for a in range(rule.d):
-        s_mat = axis_matrix(rule, a)
-        if a == 0 and rule.c:
-            s_mat = s_mat + FMatrix.identity(field, rule.dims[0]).scale(rule.c)
-        u, u_inv, j, eps, layout = jordan_axis(s_mat, E, poly=spectra[a].poly)
-        us.append(u)
-        uinvs.append(u_inv)
-        js.append(j)
-        epss.append(eps)
-        layouts.append(tuple(layout))
-        diags.append(all(size == 1 for _, size in layout))
+        shift = rule.c if a == 0 else 0
+        key = (rule.dims[a], rule.effective_bands(a), shift)
+        if key not in cache:
+            s_mat = axis_matrix(rule, a)
+            if shift:
+                s_mat = s_mat + FMatrix.identity(rule.field, rule.dims[a]).scale(shift)
+            cache[key] = jordan_axis(s_mat, E, poly=spectra[a].poly)
+        per_axis.append(cache[key])
+    us, uinvs, js, epss, layouts = zip(*per_axis)
     gj = GenJordan(
         rule=rule,
         field=E,
-        axis_U=tuple(us),
-        axis_U_inv=tuple(uinvs),
-        axis_J=tuple(js),
-        axis_eps=tuple(epss),
-        axis_layout=tuple(layouts),
-        axis_diagonalizable=tuple(diags),
+        axis_U=us,
+        axis_U_inv=uinvs,
+        axis_J=js,
+        axis_eps=epss,
+        axis_layout=tuple(tuple(layout) for layout in layouts),
+        axis_diagonalizable=tuple(all(s == 1 for _, s in layout) for layout in layouts),
     )
     if rule.size <= _FULL_CHECK_CAP:
-        t = build_T(rule).lift(E) if isinstance(E, ExtField) else build_T(rule)
-        if t @ gj.U() != gj.U() @ gj.J():
+        u = gj.U()
+        if build_T(rule).lift(E) @ u != u @ gj.J():
             raise InternalVerificationFailed("full conjugation check failed")
     return gj
 
 
-# ---------------------------------------------------------------------------
-# Block-bidiagonal inversion
-# ---------------------------------------------------------------------------
-
-
-def _assemble_bidiagonal_inverse(E, inverses, omegas) -> FMatrix:
-    """Inverse of the block matrix diag(A_i) + superdiag(omega_i * I) from the
-    precomputed diagonal-block inverses: entry (i, j) for i <= j is
-    (-1)^(j-i) * prod(omega_i..omega_{j-1}) * A_i^{-1} A_{i+1}^{-1} ... A_j^{-1}."""
-    nblocks = len(inverses)
-    r = inverses[0].rows
-    k = getattr(E, "k", 1)
-    data = np.zeros((nblocks * r, nblocks * r, k), dtype=inverses[0].data.dtype)
-    for i in range(nblocks):
-        data[i * r : (i + 1) * r, i * r : (i + 1) * r, :] = inverses[i].data
-        acc = inverses[i]
-        coeff = E.one
-        for j in range(i + 1, nblocks):
-            coeff = E.mul(coeff, omegas[j - 1])
-            if coeff == E.zero:
-                break
-            acc = acc @ inverses[j]
-            block = acc.scale(coeff if (j - i) % 2 == 0 else E.neg(coeff))
-            data[i * r : (i + 1) * r, j * r : (j + 1) * r, :] = block.data
-    return FMatrix(E, data)
-
-
-def block_triangular_inverse(blocks, omegas) -> FMatrix:
-    """Exact inverse of the block-bidiagonal matrix with invertible diagonal
-    blocks A_1..A_k and scalar superdiagonal couplings omega_1..omega_{k-1}."""
-    blocks = list(blocks)
-    if len(omegas) != len(blocks) - 1:
-        raise InternalVerificationFailed("need one omega per superdiagonal block")
-    E = blocks[0].field
-    inverses = []
-    for i, b in enumerate(blocks):
-        try:
-            inverses.append(oracle.inverse(b))
-        except Singular as exc:
-            raise SingularBlock(i) from exc
-    omegas = [E.elem(w) for w in omegas]
-    return _assemble_bidiagonal_inverse(E, inverses, omegas)
-
-
-def _nested_jordan_inverse(gj: GenJordan) -> FMatrix:
-    """Inverse of the nested generalized Jordan form, built level by level.
-
-    At each axis level the matrix is block-diagonal over the axis Jordan
-    blocks; within a block of size s it is bidiagonal with s copies of the
-    shifted lower-level matrix, so the explicit bidiagonal-inverse formula
-    applies with omegas = 1."""
-    E = gj.field
-    cache = {}
-
-    def level_inverse(t: int, shift):
-        if t == 0:
-            return FMatrix.from_rows(E, [[E.inv(shift)]])
-        key = (t, shift)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        pieces = []
-        for lam, size in gj.axis_layout[t - 1]:
-            b_inv = level_inverse(t - 1, E.add(shift, lam))
-            pieces.append(
-                _assemble_bidiagonal_inverse(E, [b_inv] * size, [E.one] * (size - 1))
-            )
-        total = sum(piece.rows for piece in pieces)
-        k = getattr(E, "k", 1)
-        data = np.zeros((total, total, k), dtype=pieces[0].data.dtype)
-        pos = 0
-        for piece in pieces:
-            data[pos : pos + piece.rows, pos : pos + piece.rows, :] = piece.data
-            pos += piece.rows
-        out = FMatrix(E, data)
-        cache[key] = out
-        return out
-
-    return level_inverse(gj.rule.d, E.zero)
-
-
-def invert_T(rule: RuleSpec, rep: Reversibility | None = None) -> FMatrix:
-    """Exact inverse of the transition matrix over GF(p).
-
-    Raises NotReversible (with a zero-eigenvalue witness) when the rule is
-    not reversible; the result is verified by multiplication before return.
-    """
-    if rep is None:
-        rep = reversibility(rule)
+def _reversible_jordan(rule: RuleSpec, rep: Reversibility | None = None) -> GenJordan:
+    """Jordan data of a reversible rule; raises NotReversible, with a
+    zero-eigenvalue witness, otherwise."""
+    rep = rep or reversibility(rule)
     if not rep.reversible:
-        raise NotReversible(_render_witness(rep.field, rep.witness))
-    gj = generalized_jordan(rule, rep)
-    E = gj.field
-    j_inv = _nested_jordan_inverse(gj)
-    w = dot_kron(j_inv, list(reversed(gj.axis_U_inv)))
-    t_inv_e = kron_dot(list(reversed(gj.axis_U)), w)
+        raise NotReversible(tuple(rep.field.render(w) for w in rep.witness))
+    return generalized_jordan(rule, rep)
+
+
+# ---------------------------------------------------------------------------
+# Inversion
+# ---------------------------------------------------------------------------
+
+
+def _forward(rule: RuleSpec, y: FMatrix):
+    """T y for a base-field column block: one stencil step per column."""
+    lo, hi = rule.band_arrays()
+    cells = y.int_matrix().reshape(rule.dims + (y.cols,), order="F")
+    out = kernels.evolve_step(cells, rule.c, lo, hi, rule.p)
+    return out.reshape(y.rows, y.cols, order="F")
+
+
+def apply_inverse(rule: RuleSpec, x: FMatrix, gj: GenJordan) -> FMatrix:
+    """T^-1 x for an N x m base-field column block x of a reversible rule.
+
+    Computes U J^-1 U^-1 x with U applied factor by factor and J^-1 by
+    GenJordan.solve, so no N x N matrix is formed unless x has N columns.
+    The result y is verified exactly: the forward stencil must give T y == x.
+    """
+    w = gj.solve(kron_dot(list(reversed(gj.axis_U_inv)), x.lift(gj.field)))
     try:
-        t_inv = t_inv_e.project_base() if isinstance(E, ExtField) else t_inv_e
+        y = kron_dot(list(reversed(gj.axis_U)), w).project_base()
     except FieldMismatch as exc:
         raise InternalVerificationFailed(
             "inverse has entries outside the base field"
         ) from exc
-    t = build_T(rule)
-    prod = kernels.matmul_mod(t.int_matrix(), t_inv.int_matrix(), rule.p)
-    if not np.array_equal(prod, np.eye(rule.size, dtype=np.int64)):
-        raise InternalVerificationFailed("T * T^-1 != I")
-    return t_inv
+    if not np.array_equal(_forward(rule, y), x.int_matrix()):
+        raise InternalVerificationFailed("T * (T^-1 x) != x")
+    return y
 
 
-def _render_witness(E, witness):
-    if witness is None:
-        return None
-    return tuple(E.render(w) for w in witness)
+def evolve_inverse(rule: RuleSpec, pattern: Pattern, steps: int) -> Pattern:
+    """Run a reversible rule `steps` steps backward: one apply_inverse per
+    step on a single column, each verified by the forward stencil."""
+    gj = _reversible_jordan(rule)
+    for _ in range(steps):
+        col = FMatrix.from_int_array(rule.field, theta(pattern)[:, None])
+        y = apply_inverse(rule, col, gj)
+        pattern = theta_inv(y.int_matrix()[:, 0], rule.dims, rule.p)
+    return pattern
+
+
+def invert_T(rule: RuleSpec, rep: Reversibility | None = None) -> FMatrix:
+    """Exact inverse of the transition matrix over GF(p), as T^-1 I.
+
+    Raises SizeCapExceeded when the dense result would exceed the matrix cap
+    and NotReversible (with a zero-eigenvalue witness) when the rule is not
+    reversible; the result is verified by the forward stencil.
+    """
+    if rule.size > MATRIX_SIZE_CAP:
+        raise SizeCapExceeded(
+            f"inverse matrix of size {rule.size} exceeds the cap {MATRIX_SIZE_CAP}"
+        )
+    gj = _reversible_jordan(rule, rep)
+    return apply_inverse(rule, FMatrix.identity(rule.field, rule.size), gj)

@@ -48,6 +48,31 @@ def _reduce_planes(arr, field):
     return (low + high @ red) % p
 
 
+def coord_mul(field, a, b):
+    """Elementwise field product of coordinate arrays whose last axis holds
+    the k coordinates; the leading axes broadcast."""
+    p = field.char
+    k = getattr(field, "k", 1)
+    if k == 1:
+        return a * b % p
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (2 * k - 1,)
+    out = np.zeros(shape, dtype=np.result_type(a, b))
+    for i in range(k):  # k * p^2 < 2^63 in int64, since p < 2^25 and k <= 64
+        out[..., i : i + k] += a[..., i : i + 1] * b
+    return _reduce_planes(out % p, field)
+
+
+def coord_inv(field, a):
+    """Elementwise inverse of nonzero coordinate arrays, as a^(q-2)."""
+    result = np.zeros_like(a)
+    result[..., 0] = 1
+    for bit in bin(field.order - 2)[2:]:  # square and multiply, high bit first
+        result = coord_mul(field, result, result)
+        if bit == "1":
+            result = coord_mul(field, result, a)
+    return result
+
+
 class FMatrix:
     """Immutable dense matrix over a PrimeField or ExtField."""
 
@@ -178,14 +203,7 @@ class FMatrix:
     def scale(self, elem):
         field = self.field
         vec = np.asarray(field.coeff_vector(field.elem(elem)), dtype=self.data.dtype)
-        k = getattr(field, "k", 1)
-        if k == 1:
-            return FMatrix(field, self.data * int(vec[0]) % field.char)
-        out = np.zeros(self.data.shape[:2] + (2 * k - 1,), dtype=self.data.dtype)
-        for a in range(k):
-            if vec[a]:
-                out[:, :, a : a + k] += self.data * int(vec[a])
-        return FMatrix(field, _reduce_planes(out % field.char, field))
+        return FMatrix(field, coord_mul(field, self.data, vec))
 
     def transpose(self):
         return FMatrix(self.field, np.ascontiguousarray(self.data.transpose(1, 0, 2)))

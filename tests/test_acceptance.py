@@ -265,10 +265,11 @@ def test_criterion_05_triple_table_and_blocks():
         (2, 1): [[1, 4, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1], [0, 0, 0, 3]],
         (2, 2): [[3, 1, 0, 0], [0, 3, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]],
     }
-    from carev.spectral import _nested_jordan_inverse, generalized_jordan
+    from carev.spectral import generalized_jordan
 
+    # J^-1 itself, from the Jordan solve applied to the 64 unit columns.
     gj = generalized_jordan(_k_rule(5, (4, 4, 4), (1, 1, 4)))
-    j_inv = _nested_jordan_inverse(gj)
+    j_inv = gj.solve(FMatrix.identity(gj.field, 64))
     our_blocks = []
     for b in range(16):
         our_blocks.append(
@@ -410,12 +411,19 @@ def test_criterion_10_performance():
     kernels.det_mod(dense, 5)
     t_dense = _median_time(lambda: kernels.det_mod(dense, 5))
     ratio = t_dense / t_structured
-    sizes, times = [], []
-    for m in range(8, 17):
-        r = _all_ones(5, (m, m, m))
+    sizes = list(range(8, 17))
+    rules = [_all_ones(5, (m, m, m)) for m in sizes]
+    for r in rules:
         reversibility(r)
-        sizes.append(m)
-        times.append(_median_time(lambda r=r: reversibility(r)))
+    # Each size is timed by the fastest of 7 calls, since host load only ever
+    # adds time; the calls go round-robin over the sizes, so a slow phase of
+    # the host hits every size alike instead of bending the fitted slope.
+    times = [math.inf] * len(sizes)
+    for _ in range(7):
+        for i, r in enumerate(rules):
+            t0 = time.perf_counter()
+            reversibility(r)
+            times[i] = min(times[i], time.perf_counter() - t0)
     slope = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
     ok = ratio >= 50.0 and slope <= 3.5
     _report(

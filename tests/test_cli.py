@@ -6,9 +6,14 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 import carev
 from carev import serialize
+from carev.ca import Pattern, RuleSpec, evolve_local
 from carev.cli import main
+from carev.spectral import GenJordan
+from carev.structmat import MATRIX_SIZE_CAP
 
 
 def _write_rule(tmp_path, p=5, dims=(2, 2, 2), coeff=1):
@@ -89,6 +94,62 @@ def test_evolve_then_reverse_round_trip(tmp_path):
     assert main(["evolve", rule, pattern, "--steps", "6", "--out", str(fwd)]) == 0
     assert main(["reverse", rule, str(fwd), "--steps", "6", "--out", str(back)]) == 0
     assert back.read_text() == (tmp_path / "pattern.txt").read_text()
+
+
+def _write_random_pattern(tmp_path, p, dims, seed):
+    cells = np.random.default_rng(seed).integers(0, p, size=dims)
+    path = tmp_path / "pattern.txt"
+    serialize.write_pattern(Pattern(p, cells), str(path))
+    return str(path)
+
+
+def test_evolve_reverse_round_trip_above_old_cap(tmp_path):
+    # 5120 cells, past the old 4096-cell cap of both commands; the per-axis
+    # eigenvalues live in GF(5^15).
+    dims = (8, 8, 8, 10)
+    rule = _write_rule(tmp_path, p=5, dims=dims)
+    pattern = _write_random_pattern(tmp_path, 5, dims, seed=1)
+    fwd = tmp_path / "fwd.txt"
+    back = tmp_path / "back.txt"
+    assert main(["evolve", rule, pattern, "--steps", "10", "--out", str(fwd)]) == 0
+    assert main(["reverse", rule, str(fwd), "--steps", "10", "--out", str(back)]) == 0
+    assert back.read_text() == (tmp_path / "pattern.txt").read_text()
+
+
+def test_evolve_64_cube_matches_stencil_steps(tmp_path):
+    dims = (64, 64, 64)
+    rule_obj = {
+        "p": 7, "dims": list(dims), "c": 3, "eta": 2,
+        "axes": [{"ell": [1, 2], "r": [4, 0]}, {"ell": [0, 5], "r": [6, 1]},
+                 {"ell": [2, 0], "r": [3, 3]}],
+    }
+    rule_path = tmp_path / "rule.json"
+    rule_path.write_text(json.dumps(rule_obj))
+    rule = RuleSpec.from_json(rule_obj)
+    assert rule.size > MATRIX_SIZE_CAP
+    pattern = _write_random_pattern(tmp_path, 7, dims, seed=2)
+    out = tmp_path / "out.txt"
+    assert main(["evolve", str(rule_path), pattern, "--steps", "3", "--out", str(out)]) == 0
+    want = serialize.read_pattern(pattern)
+    for _ in range(3):
+        want = evolve_local(rule, want)
+    assert serialize.read_pattern(str(out)) == want
+
+
+def test_internal_verification_failure_exits_3(tmp_path, monkeypatch, capsys):
+    rule = _write_rule(tmp_path, p=5, dims=(2, 2, 2))
+    pattern = _write_pattern(tmp_path, "3 2 2 2 5\n1 2\n3 4\n0 1\n2 3\n")
+    out = tmp_path / "out.txt"
+    monkeypatch.setattr(GenJordan, "solve", lambda self, x: x)  # a wrong J^-1
+    assert main(["reverse", rule, pattern, "--steps", "1", "--out", str(out)]) == 3
+    assert "internal error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unsupported_range_exits_4(tmp_path, capsys):
+    rule = _write_rule(tmp_path, p=2**31 + 11)
+    assert main(["check", rule]) == 4
+    assert "supported range" in capsys.readouterr().err
 
 
 def test_evolve_dimension_mismatch(tmp_path, capsys):

@@ -85,3 +85,29 @@ def test_evolve_step_null_boundary():
     hi = np.array([[1]], dtype=np.int64)
     out = kernels.evolve_step(x, 0, lo, hi, p)
     assert list(out) == [0, 0, 2, 0]
+
+
+def test_evolve_step_batch_axis_matches_per_column():
+    # Axes of x beyond the d band rows are a batch: one call equals a call
+    # per column.
+    rng = random.Random(23)
+    for _ in range(20):
+        p = rng.choice([2, 3, 5, 7])
+        d = rng.randint(1, 3)
+        dims = tuple(rng.randint(2, 5) for _ in range(d))
+        eta = rng.choice([1, 2])
+        m = rng.randint(1, 4)
+        x = np.array(
+            [rng.randrange(p) for _ in range(int(np.prod(dims)) * m)], dtype=np.int64
+        ).reshape(dims + (m,))
+        c = rng.randrange(p)
+        lo = np.array(
+            [[rng.randrange(p) for _ in range(eta)] for _ in range(d)], dtype=np.int64
+        )
+        hi = np.array(
+            [[rng.randrange(p) for _ in range(eta)] for _ in range(d)], dtype=np.int64
+        )
+        got = kernels.evolve_step(x, c, lo, hi, p)
+        for j in range(m):
+            want = kernels.evolve_step(x[..., j], c, lo, hi, p)
+            assert np.array_equal(got[..., j], want)

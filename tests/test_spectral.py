@@ -5,11 +5,11 @@ import pytest
 
 from carev import oracle
 from carev.ca import RuleSpec, axis_matrix, build_T
-from carev.errors import NotReversible, SingularBlock
+from carev.errors import NotReversible
 from carev.field import ExtField, PrimeField, canonical_modulus
 from carev.spectral import (
+    apply_inverse,
     axis_char_poly,
-    block_triangular_inverse,
     eigenvalue_multiset,
     generalized_jordan,
     invert_T,
@@ -147,37 +147,49 @@ def test_jordan_axis_rejects_non_splitting_field():
         jordan_axis(s, F)
 
 
-def test_block_triangular_inverse():
-    rng = random.Random(71)
-    F = PrimeField(7)
-    for _ in range(15):
-        blocks = []
-        while len(blocks) < 3:
-            b = FMatrix.from_rows(
-                F, [[rng.randrange(7) for _ in range(2)] for _ in range(2)]
-            )
-            if oracle.det(b) != 0:
-                blocks.append(b)
-        omegas = [rng.randrange(7) for _ in range(2)]
-        inv = block_triangular_inverse(blocks, omegas)
-        # Assemble the block-bidiagonal matrix and verify directly.
-        full = FMatrix.zeros(F, 6, 6)
-        rows = full.tolists()
-        for i, b in enumerate(blocks):
-            for r in range(2):
-                for c in range(2):
-                    rows[2 * i + r][2 * i + c] = b.at(r, c)
-        for i, w in enumerate(omegas):
-            for r in range(2):
-                rows[2 * i + r][2 * (i + 1) + r] = w
-        full = FMatrix.from_rows(F, rows)
-        assert full @ inv == FMatrix.identity(F, 6)
+def _random_block(rng, rule, m):
+    rows = [[rng.randrange(rule.p) for _ in range(m)] for _ in range(rule.size)]
+    return FMatrix.from_int_array(rule.field, rows)
 
 
-def test_block_triangular_inverse_singular_block():
-    F = PrimeField(5)
-    good = FMatrix.identity(F, 2)
-    bad = FMatrix.zeros(F, 2, 2)
-    with pytest.raises(SingularBlock) as err:
-        block_triangular_inverse([good, bad], [1])
-    assert err.value.index == 1
+def test_apply_inverse_matches_oracle_inverse():
+    rng = random.Random(73)
+    rules = [
+        # One size-5 Jordan block on axis 2, over GF(3^6).
+        RuleSpec(p=3, dims=(2, 5, 5), c=1, eta=2,
+                 axes=(((1, 2), (2, 0)), ((2, 0), (0, 2)), ((1, 0), (1, 1)))),
+        # Size-2 blocks on both axes: J^-1 needs two correction rounds.
+        _rule(2, (2, 4), (1, 1)),
+        # p > 2^25 stores entries as Python ints.
+        RuleSpec(p=33554467, dims=(3, 4), c=5, eta=1,
+                 axes=(((1,), (2,)), ((3,), (1,)))),
+    ]
+    seen = Counter()
+    while len(rules) < 40:
+        rule = _random_rule(rng)
+        if reversibility(rule).reversible:
+            rules.append(rule)
+    for rule in rules:
+        rep = reversibility(rule)
+        gj = generalized_jordan(rule, rep)
+        E = gj.field
+        big = getattr(E, "k", 1) > 1
+        seen.update(
+            {"eta2": rule.eta == 2, "defective": not gj.diagonalizable,
+             "K>1": big, "defective K>1": big and not gj.diagonalizable}
+        )
+        ident = FMatrix.identity(E, rule.size)
+        assert gj.J() @ gj.solve(ident) == ident
+        t_inv = oracle.inverse(build_T(rule))
+        x = _random_block(rng, rule, 3)
+        assert apply_inverse(rule, x, gj) == t_inv @ x
+        assert apply_inverse(rule, FMatrix.identity(rule.field, rule.size), gj) == t_inv
+    assert all(seen[key] for key in ("eta2", "defective", "K>1", "defective K>1")), seen
+
+
+def test_generalized_jordan_shares_identical_axes():
+    # Axes 2 and 3 match; axis 1 carries the center shift.
+    gj = generalized_jordan(_rule(7, (3, 3, 3), (1, 1, 1), c=2))
+    assert gj.axis_U[1] is gj.axis_U[2]
+    assert gj.axis_U[0] is not gj.axis_U[1]
+    assert gj.axis_layout[0] != gj.axis_layout[1]
