@@ -7,6 +7,24 @@ without ever materializing the matrix.  The inverse, when it exists, is
 applied as U J^-1 U^-1 from per-axis Jordan bases: U is Kronecker-factored
 and J^-1 is a solve with the nested Jordan form, never a formed matrix.
 Every result is verified by re-applying the forward stencil.
+
+An axis whose effective band has width 1 is the tridiagonal Toeplitz block
+S = ell*sub + c*I + r*super, and its Jordan basis is written down without
+elimination.  When ell*r != 0, each eigenvalue lambda has one Jordan block,
+of size its multiplicity m.  With mu = lambda - c, the eigenvector follows
+the g-polynomial recurrence v_0 = 1, r v_(i+1) = mu v_i - ell v_(i-1), and
+its chain is the Hasse derivatives D^(s) v in lambda, s < m:
+r D^(s) v_(i+1) = mu D^(s) v_i + D^(s-1) v_i - ell D^(s) v_(i-1), which gives
+S u_s = lambda u_s + u_(s-1).  Delta = diag((r/ell)^i) makes Delta S
+symmetric, so G = U^T Delta U is block diagonal, one Hankel block per
+eigenvalue that is zero above its anti-diagonal, and
+U^-1 = G^-1 U^T Delta costs one inversion per eigenvalue and a triangular
+Toeplitz solve per chain.  One-sided bands (ell*r = 0, ell != r) give one
+nilpotent block with a scaled unit-vector basis, and ell = r = 0 gives
+S = cI.  Wider bands use elimination (jordan_axis).  Every axis basis is
+checked exactly (S U = U J and U^-1 U = I), and up to _FULL_CHECK_CAP cells
+so is the full conjugation T U = U J: T U by one batched forward stencil
+step over the columns of U, U J from the Jordan diagonal and eps flags.
 """
 
 from __future__ import annotations
@@ -18,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels, oracle
-from .ca import Pattern, RuleSpec, axis_matrix, build_T, theta, theta_inv
+from .ca import Pattern, RuleSpec, axis_matrix, theta, theta_inv
 from .charpoly import g_poly
 from .errors import (
     FieldMismatch,
@@ -32,6 +50,7 @@ from .oracle import SpanTracker
 from .structmat import (
     MATRIX_SIZE_CAP,
     FMatrix,
+    _dtype_for,
     coord_inv,
     coord_mul,
     kron_dot,
@@ -39,8 +58,10 @@ from .structmat import (
     kron_sum,
 )
 
-# Full conjugation re-verification is only affordable up to this size; the
-# per-axis conjugations are verified exactly at every size.
+# The full conjugation check T U = U J holds the dense N x N matrix U (N^2 k
+# coordinates) in memory, so it runs only up to this many cells; its time is
+# O(N^2) stencil work.  The per-axis conjugations are verified exactly at
+# every size.
 _FULL_CHECK_CAP = 256
 
 
@@ -157,17 +178,39 @@ def _matvec(m: FMatrix, v):
     return tuple(res.at(i, 0) for i in range(res.rows))
 
 
-def jordan_axis(s_mat: FMatrix, E, poly: Poly | None = None):
-    """Canonical Jordan form of one axis block over E.
+def _jordan_form(E, layout):
+    """(J, eps) for a layout ((eigenvalue, block size), ...); eps are the
+    superdiagonal 0/1 flags, 1 inside a block and 0 between blocks."""
+    n = sum(size for _, size in layout)
+    eps = tuple(int(t + 1 < size) for _, size in layout for t in range(size))[:-1]
+    data = np.zeros((n, n, getattr(E, "k", 1)), dtype=np.int64)
+    data[range(n), range(n)] = [E.coeff_vector(lam) for lam, size in layout for _ in range(size)]
+    data[range(n - 1), range(1, n), 0] = eps
+    return FMatrix(E, data), eps
 
-    Returns (U, U_inv, J, eps, layout) with U_inv @ S @ U = J verified
-    exactly; eps are the superdiagonal 0/1 flags and layout lists
-    (eigenvalue, block size) in order.
+
+def _checked_axis(s_mat: FMatrix, E, u: FMatrix, u_inv: FMatrix, layout):
+    """(U, U_inv, J, eps, layout) once S U = U J and U_inv U = I hold exactly."""
+    j, eps = _jordan_form(E, layout)
+    if s_mat.lift(E) @ u != u @ j:
+        raise InternalVerificationFailed("axis conjugation check failed")
+    if u_inv @ u != FMatrix.identity(E, u.rows):
+        raise InternalVerificationFailed("axis inverse check failed")
+    return u, u_inv, j, eps, tuple(layout)
+
+
+def jordan_axis(s_mat: FMatrix, E, roots=None):
+    """Canonical Jordan form of one axis block over E, by elimination.
+
+    roots are the ((eigenvalue, multiplicity), ...) of the block in E; when
+    omitted they are found from its characteristic polynomial, which raises
+    DoesNotSplit unless E splits it.  Returns (U, U_inv, J, eps, layout) with
+    S U = U J and U_inv U = I verified exactly; eps are the superdiagonal 0/1
+    flags and layout lists (eigenvalue, block size) in order.
     """
     base = s_mat.field
-    if poly is None:
-        poly = oracle.char_poly(s_mat)
-    roots = roots_with_multiplicity(poly, E)
+    if roots is None:
+        roots = roots_with_multiplicity(oracle.char_poly(s_mat), E)
     se = s_mat.lift(E) if isinstance(base, PrimeField) and base != E else s_mat
     n = s_mat.rows
     ident = FMatrix.identity(E, n)
@@ -201,20 +244,72 @@ def jordan_axis(s_mat: FMatrix, E, poly: Poly | None = None):
             columns.extend(reversed(vecs))
             layout.append((lam, height_j))
     u = FMatrix.from_rows(E, [[col[i] for col in columns] for i in range(n)])
-    # Assemble J from the layout.
-    diag = [lam for lam, size in layout for _ in range(size)]
-    eps = tuple(int(t + 1 < size) for _, size in layout for t in range(size))[:-1]
-    j = FMatrix.from_rows(
-        E, [[diag[r] if c == r else eps[r] if c == r + 1 else 0 for c in range(n)]
-            for r in range(n)]
-    )
     try:
         u_inv = oracle.inverse(u)
     except Singular as exc:  # pragma: no cover - guards bugs
         raise InternalVerificationFailed("Jordan basis is singular") from exc
-    if se @ u != u @ j:
-        raise InternalVerificationFailed("axis conjugation check failed")
-    return u, u_inv, j, eps, layout
+    return _checked_axis(s_mat, E, u, u_inv, layout)
+
+
+def tridiagonal_jordan(s_mat: FMatrix, E, ell: int, r: int, c: int, roots):
+    """Jordan data of the tridiagonal Toeplitz block s_mat = ell*sub + c*I +
+    r*super over E in closed form, without elimination (see the module
+    docstring), in the conventions of jordan_axis: one chain per block,
+    eigenvector first.  roots are the block's ((eigenvalue, multiplicity),
+    ...) in E."""
+    p, k, n = E.char, getattr(E, "k", 1), s_mat.rows
+    if ell == 0 or r == 0:
+        base = getattr(E, "base", E)
+        if ell == r:  # S = cI: n blocks of size 1
+            u = u_inv = FMatrix.identity(E, n)
+            return _checked_axis(s_mat, E, u, u_inv, ((roots[0][0], 1),) * n)
+        # One nilpotent block: u_s = b^-s e_s for b = r, b^-s e_(n-1-s) for b = ell.
+        b = ell or r
+        s = np.arange(n)
+        pos = s if r else n - 1 - s
+        u, u_inv = np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+        u[pos, s] = [pow(b, -i, p) for i in range(n)]
+        u_inv[s, pos] = [pow(b, i, p) for i in range(n)]
+        u, u_inv = (FMatrix.from_int_array(base, m).lift(E) for m in (u, u_inv))
+        return _checked_axis(s_mat, E, u, u_inv, ((roots[0][0], n),))
+    dt = _dtype_for(E)
+    mults = np.array([m for _, m in roots])
+    n_roots, top = len(roots), int(mults.max())
+    mu = np.array([E.coeff_vector(lam) for lam, _ in roots], dtype=dt)
+    mu[:, 0] = (mu[:, 0] - c) % p
+    r_inv = pow(r, -1, p)
+    # h[s, j, i]: entry i of the s-th Hasse derivative of v at root j.
+    h = np.zeros((top, n_roots, n, k), dtype=dt)
+    h[0, :, 0, 0] = 1
+    for i in range(n - 1):
+        nxt = coord_mul(E, mu, h[:, :, i])
+        nxt[1:] += h[:-1, :, i]
+        if i:
+            nxt -= ell * h[:, :, i - 1]
+        h[:, :, i + 1] = nxt % p * r_inv % p
+    # Column (j, s) of U is h[s, j] for s < m_j; row (j, s) of U^-1 matches it.
+    at_root = np.repeat(np.arange(n_roots), mults)
+    at_pos = np.concatenate([np.arange(m) for m in mults])
+    # Rows of U^T Delta, and a[t, j] = <D^(m_j - 1) v, D^(t) v>_Delta.  Block j
+    # of G is G_j[t, s] = a[t + s - m_j + 1, j] (zero where t + s < m_j - 1),
+    # i.e. L R with L lower-triangular Toeplitz in a and R the reversal, so
+    # G_j^-1 = R L^-1 and L^-1 is the power-series inverse b of a.
+    ratio = r * pow(ell, -1, p) % p
+    w = h * np.array([pow(ratio, i, p) for i in range(n)], dtype=dt)[:, None] % p
+    a = coord_mul(E, h[mults - 1, np.arange(n_roots)], w).sum(axis=2) % p
+    b = np.zeros_like(a)
+    b[0] = coord_inv(E, a[0])
+    for t in range(1, top):
+        acc = sum(coord_mul(E, a[i], b[t - i]) for i in range(1, t + 1)) % p
+        b[t] = -coord_mul(E, b[0], acc) % p
+    # x[q] = sum over s <= q of b[q - s] w[s]; row (j, t) of U^-1 is x[m_j - 1 - t, j].
+    x = np.stack([
+        sum(coord_mul(E, b[q - s][:, None], w[s]) for s in range(q + 1)) % p
+        for q in range(top)
+    ])
+    u = FMatrix(E, h[at_pos, at_root].transpose(1, 0, 2))
+    u_inv = FMatrix(E, x[mults[at_root] - 1 - at_pos, at_root])
+    return _checked_axis(s_mat, E, u, u_inv, tuple(roots))
 
 
 @dataclass(frozen=True)
@@ -310,12 +405,17 @@ def generalized_jordan(rule: RuleSpec, rep: Reversibility | None = None) -> GenJ
     cache = {}  # identical axes share one Jordan computation
     for a in range(rule.d):
         shift = rule.c if a == 0 else 0
-        key = (rule.dims[a], rule.effective_bands(a), shift)
+        ell, r = bands = rule.effective_bands(a)
+        key = (rule.dims[a], bands, shift)
         if key not in cache:
             s_mat = axis_matrix(rule, a)
             if shift:
                 s_mat = s_mat + FMatrix.identity(rule.field, rule.dims[a]).scale(shift)
-            cache[key] = jordan_axis(s_mat, E, poly=spectra[a].poly)
+            roots = spectra[a].roots
+            if len(ell) == 1:
+                cache[key] = tridiagonal_jordan(s_mat, E, ell[0], r[0], shift, roots)
+            else:
+                cache[key] = jordan_axis(s_mat, E, roots=roots)
         per_axis.append(cache[key])
     us, uinvs, js, epss, layouts = zip(*per_axis)
     gj = GenJordan(
@@ -329,10 +429,31 @@ def generalized_jordan(rule: RuleSpec, rep: Reversibility | None = None) -> GenJ
         axis_diagonalizable=tuple(all(s == 1 for _, s in layout) for layout in layouts),
     )
     if rule.size <= _FULL_CHECK_CAP:
-        u = gj.U()
-        if build_T(rule).lift(E) @ u != u @ gj.J():
-            raise InternalVerificationFailed("full conjugation check failed")
+        _verify_conjugation(gj)
     return gj
+
+
+def _verify_conjugation(gj: GenJordan) -> None:
+    """Raise InternalVerificationFailed unless T U = U J exactly.
+
+    T U is one batched forward stencil step over the columns and coordinate
+    planes of U; U J is built from the diagonal and eps flags that
+    GenJordan.solve uses: column i + 1 of axis a gains column i where
+    eps_a[i] = 1."""
+    rule, E = gj.rule, gj.field
+    p, k, n = E.char, getattr(E, "k", 1), rule.size
+    u = gj.U().data
+    lo, hi = rule.band_arrays()
+    tu = kernels.evolve_step(u.reshape(rule.dims + (n, k), order="F"), rule.c, lo, hi, p)
+    cols = u.reshape((n,) + tuple(reversed(rule.dims)) + (k,))
+    uj = coord_mul(E, gj._diag, cols)
+    for a, eps in enumerate(gj.axis_eps):
+        src, dst = [slice(None)] * cols.ndim, [slice(None)] * cols.ndim
+        src[rule.d - a] = np.flatnonzero(eps)
+        dst[rule.d - a] = src[rule.d - a] + 1
+        uj[tuple(dst)] += cols[tuple(src)]
+    if not np.array_equal(tu.reshape((n, n, k), order="F").reshape(cols.shape), uj % p):
+        raise InternalVerificationFailed("full conjugation check failed")
 
 
 def _reversible_jordan(rule: RuleSpec, rep: Reversibility | None = None) -> GenJordan:

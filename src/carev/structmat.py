@@ -48,6 +48,14 @@ def _reduce_planes(arr, field):
     return (low + high @ red) % p
 
 
+def _one_reduction(dtype, k: int, m: int, p: int) -> bool:
+    """Whether the 2k-1 convolution planes of a product with inner dimension
+    m may be reduced once, after all k plane products: each plane sums at
+    most k * m products of entries below p, which int64 holds exactly while
+    k * m * (p - 1)^2 < 2^63.  Object arrays keep one reduction per plane."""
+    return dtype != object and k * m * (p - 1) ** 2 < 1 << 63
+
+
 def coord_mul(field, a, b):
     """Elementwise field product of coordinate arrays whose last axis holds
     the k coordinates; the leading axes broadcast."""
@@ -194,10 +202,12 @@ class FMatrix:
             return FMatrix(field, out[:, :, None])
         bflat = other.data.reshape(other.rows, other.cols * k)
         out = np.zeros((self.rows, other.cols, 2 * k - 1), dtype=self.data.dtype)
+        once = _one_reduction(out.dtype, k, self.cols, p)
         for a in range(k):
             prod = _mm_raw(np.ascontiguousarray(self.data[:, :, a]), bflat)
             out[:, :, a : a + k] += prod.reshape(self.rows, other.cols, k)
-            out %= p
+            if not once or a == k - 1:
+                out %= p
         return FMatrix(field, _reduce_planes(out, field))
 
     def scale(self, elem):
@@ -228,6 +238,8 @@ class FMatrix:
 
     def render(self) -> str:
         field = self.field
+        if isinstance(field, PrimeField):  # entries render as plain integers
+            return "\n".join(" ".join(map(str, row)) for row in self.data[:, :, 0].tolist()) + "\n"
         lines = []
         for i in range(self.rows):
             lines.append(" ".join(field.render(self.at(i, j)) for j in range(self.cols)))
@@ -325,10 +337,12 @@ def _apply_axis(a_data, x, axis, field):
     m = shape[0]
     xf = np.ascontiguousarray(xm).reshape(m, -1)
     out = np.zeros((m, xf.shape[1] // k, 2 * k - 1), dtype=x.dtype)
+    once = _one_reduction(out.dtype, k, m, p)
     for a in range(k):
         prod = _mm_raw(np.ascontiguousarray(a_data[:, :, a]), xf)
         out[:, :, a : a + k] += prod.reshape(m, -1, k)
-        out %= p
+        if not once or a == k - 1:
+            out %= p
     red = _reduce_planes(out, field).reshape(shape)
     return np.moveaxis(red, 0, axis)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -5,17 +6,21 @@ import pytest
 
 from carev import oracle
 from carev.ca import RuleSpec, axis_matrix, build_T
-from carev.errors import NotReversible
+from carev.errors import InternalVerificationFailed, NotReversible
 from carev.field import ExtField, PrimeField, canonical_modulus
 from carev.spectral import (
+    _checked_axis,
+    _verify_conjugation,
     apply_inverse,
     axis_char_poly,
+    axis_spectra,
     eigenvalue_multiset,
     generalized_jordan,
     invert_T,
     is_reversible,
     jordan_axis,
     reversibility,
+    tridiagonal_jordan,
 )
 from carev.structmat import FMatrix
 
@@ -145,6 +150,10 @@ def test_jordan_axis_rejects_non_splitting_field():
 
     with pytest.raises(DoesNotSplit):
         jordan_axis(s, F)
+    # The same block with its roots in GF(9) passes the exact checks.
+    rule = RuleSpec(p=3, dims=(4,), c=0, eta=1, axes=(((1,), (1,)),))
+    E, spectra = axis_spectra(rule)
+    assert jordan_axis(s, E, roots=spectra[0].roots)[4] == spectra[0].roots
 
 
 def _random_block(rng, rule, m):
@@ -193,3 +202,69 @@ def test_generalized_jordan_shares_identical_axes():
     assert gj.axis_U[1] is gj.axis_U[2]
     assert gj.axis_U[0] is not gj.axis_U[1]
     assert gj.axis_layout[0] != gj.axis_layout[1]
+
+
+def test_tridiagonal_jordan_matches_jordan_axis():
+    rng = random.Random(75)
+    axes = [  # (p, n, ell, r, c)
+        (7, 6, 1, 1, 0),  # defective: 7 | n + 1
+        (7, 20, 1, 1, 0),
+        (7, 20, 2, 3, 4),  # defective over GF(7^2), with a centre shift
+        (33554467, 5, 3, 7, 2),  # p > 2^25: object storage
+        (7, 5, 0, 3, 2),  # one-sided bands
+        (7, 5, 4, 0, 0),
+        (7, 5, 0, 0, 3),  # S = cI
+        (33554467, 4, 5, 0, 1),
+    ]
+    while len(axes) < 60:
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        axes.append((p, rng.randint(2, 12), rng.randrange(p), rng.randrange(p), rng.randrange(p)))
+    seen = Counter()
+    for p, n, ell, r, c in axes:
+        rule = RuleSpec(p=p, dims=(n,), c=c, eta=1, axes=(((ell,), (r,)),))
+        E, spectra = axis_spectra(rule)
+        s = axis_matrix(rule, 0)
+        if c:
+            s = s + FMatrix.identity(rule.field, n).scale(c)
+        u, u_inv, j, eps, layout = tridiagonal_jordan(s, E, ell, r, c, spectra[0].roots)
+        _, _, want_j, want_eps, want_layout = jordan_axis(s, E)
+        assert (layout, eps, j) == (tuple(want_layout), want_eps, want_j)
+        assert s.lift(E) @ u == u @ j
+        assert u_inv @ u == FMatrix.identity(E, n)
+        seen.update({"defective": any(eps), "K>1": getattr(E, "k", 1) > 1, "c": c != 0,
+                     "object": u.data.dtype == object, "one-sided": (ell == 0) != (r == 0),
+                     "zero": ell == r == 0})
+    assert all(seen[key] for key in ("defective", "K>1", "c", "object", "one-sided", "zero")), seen
+
+
+def test_axis_checks_reject_a_wrong_basis_or_inverse():
+    rule = RuleSpec(p=7, dims=(6,), c=0, eta=1, axes=(((1,), (1,)),))
+    E, spectra = axis_spectra(rule)
+    s = axis_matrix(rule, 0)
+    u, u_inv, _, _, layout = tridiagonal_jordan(s, E, 1, 1, 0, spectra[0].roots)
+    for bad_u, bad_inv in ((u.scale(2), u_inv), (u, u_inv.scale(2))):
+        with pytest.raises(InternalVerificationFailed):
+            _checked_axis(s, E, bad_u, bad_inv, layout)
+
+
+def test_full_conjugation_check_rejects_tampering():
+    # Defective blocks on axes 1 and 3; axis 1 carries the centre shift.
+    rule = RuleSpec(p=5, dims=(4, 3, 4), c=1, eta=1,
+                    axes=(((1,), (1,)), ((1,), (2,)), ((1,), (1,))))
+    gj = generalized_jordan(rule)
+    _verify_conjugation(gj)
+    u = gj.axis_U[1].data.copy()
+    u[0, 0, 0] = (u[0, 0, 0] + 1) % rule.p
+    bad = [dataclasses.replace(gj, axis_U=(gj.axis_U[0], FMatrix(gj.field, u), gj.axis_U[2]))]
+    for a in (0, 2):
+        eps = list(gj.axis_eps[a])
+        eps[eps.index(1)] = 0
+        bad.append(dataclasses.replace(
+            gj, axis_eps=gj.axis_eps[:a] + (tuple(eps),) + gj.axis_eps[a + 1:]))
+    layout = gj.axis_layout[1]
+    assert layout[0][0] != layout[1][0]
+    bad.append(dataclasses.replace(
+        gj, axis_layout=(gj.axis_layout[0], (layout[1], layout[0]) + layout[2:], gj.axis_layout[2])))
+    for tampered in bad:
+        with pytest.raises(InternalVerificationFailed):
+            _verify_conjugation(tampered)

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from carev import structmat
 from carev.errors import BandTooWide, FieldMismatch, ShapeMismatch
 from carev.field import ExtField, PrimeField, canonical_modulus
 from carev.structmat import (
@@ -100,6 +101,65 @@ def test_kron_dot_avoids_materialization():
     u = kron_many(factors)
     assert kron_dot(factors, m) == u @ m
     assert dot_kron(m, factors) == m @ u
+
+
+def _kron_reference(E, factors, m):
+    """Entries of (factors[0] x ... x factors[-1]) @ m by scalar field ops."""
+    n = m.rows
+    rows = []
+    for i in range(n):
+        row = []
+        for c in range(m.cols):
+            acc = E.zero
+            for t in range(n):
+                coef, ii, tt = E.one, i, t
+                for f in reversed(factors):  # the last factor is the fastest index
+                    coef = E.mul(coef, f.at(ii % f.rows, tt % f.rows))
+                    ii, tt = ii // f.rows, tt // f.rows
+                acc = E.add(acc, E.mul(coef, m.at(t, c)))
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def test_kron_dot_ext_matches_scalar_reference():
+    # Small p: the k planes are reduced once, after the last plane product.
+    rng = random.Random(12)
+    E = ExtField(PrimeField(7), 3, canonical_modulus(7, 3))
+    factors = [_rand_matrix(E, m, m, rng) for m in (3, 4)]
+    m = _rand_matrix(E, 12, 2, rng)
+    assert structmat._one_reduction(m.data.dtype, 3, 4, 7)
+    assert kron_dot(factors, m).tolists() == _kron_reference(E, factors, m)
+
+
+def test_plane_sums_past_the_int64_bound_stay_exact():
+    # p < 2^25 keeps int64 storage, but with every coordinate p - 1 the middle
+    # convolution plane sums k * m * (p - 1)^2 >= 2^63: one reduction per
+    # plane is needed.  x^k - 3 is irreducible (3 is a non-square, p = 1 mod 4).
+    p = 33554393
+    for k, m in ((64, 130), (2, 4097)):
+        assert not structmat._one_reduction(np.int64, k, m, p)
+        E = ExtField(PrimeField(p), k, (p - 3,) + (0,) * (k - 1) + (1,))
+        top = (p - 1,) * k
+        want = E.elem([m * c for c in E.mul(top, top)])
+        if k == 64:  # kron_dot with one m x m factor on one column
+            got = kron_dot([FMatrix(E, np.full((m, m, k), p - 1))],
+                           FMatrix(E, np.full((m, 1, k), p - 1)))
+        else:  # a 1 x m by m x 1 product
+            got = FMatrix(E, np.full((1, m, k), p - 1)) @ FMatrix(E, np.full((m, 1, k), p - 1))
+        assert got.data.dtype == np.int64
+        assert {got.at(i, 0) for i in range(got.rows)} == {want}
+
+
+def test_render_prime_matches_entry_render():
+    rng = random.Random(14)
+    for p in (7, 33554467):  # int64 and object storage
+        F = PrimeField(p)
+        m = _rand_matrix(F, 4, 5, rng)
+        want = "".join(
+            " ".join(F.render(m.at(i, j)) for j in range(m.cols)) + "\n" for i in range(m.rows)
+        )
+        assert m.render() == want
 
 
 def test_field_mismatch_rejected():
