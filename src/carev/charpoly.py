@@ -7,17 +7,23 @@ pair (t1, t2) depends on t1 and t2 only through their product; it obeys
 
 with the closed form sum_i (-1)^i (t1 t2)^i C(j-i, i) x^(j-2i).  Over the
 rationals (t1 t2 = 1) the roots are 2 cos(r*pi/(j+1)), r = 1..j.
+
+Only the rational forms (g_rational, gcd_degree_report) use sympy, and they
+import it when called: the decision, the inverse and evolution need GF(p)
+and GF(p^K) arithmetic alone, so no command but ``paper-examples`` loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import sympy
+from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .field import Poly
+
+if TYPE_CHECKING:
+    import sympy
 
 
 @dataclass(frozen=True)
@@ -77,18 +83,18 @@ def _binom_in_field(field, n: int, r: int):
     return row[r]
 
 
-_X = sympy.symbols("x")
-
-
 def g_rational(j: int) -> sympy.Poly:
     """The degree-j polynomial with t1*t2 = 1 over the integers."""
+    import sympy
+
     if j < 0:
         raise InputError("order must be >= 0")
-    prev = sympy.Poly(1, _X, domain="ZZ")
+    x = sympy.symbols("x")
+    prev = sympy.Poly(1, x, domain="ZZ")
     if j == 0:
         return prev
-    cur = sympy.Poly(_X, domain="ZZ")
-    xp = sympy.Poly(_X, domain="ZZ")
+    cur = sympy.Poly(x, domain="ZZ")
+    xp = sympy.Poly(x, domain="ZZ")
     for _ in range(j - 1):
         prev, cur = cur, xp * cur - prev
     return cur

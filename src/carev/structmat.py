@@ -58,16 +58,39 @@ def _one_reduction(dtype, k: int, m: int, p: int) -> bool:
 
 def coord_mul(field, a, b):
     """Elementwise field product of coordinate arrays whose last axis holds
-    the k coordinates; the leading axes broadcast."""
+    the k coordinates; the leading axes broadcast.
+
+    The 2k-1 convolution planes are built planes-first, so each plane is one
+    contiguous block, and each sums at most k products below p^2 (int64
+    storage means p < 2^25, so k(p-1)^2 < 2^63 for k <= 64).  The k-1 high
+    planes are reduced and folded into the k low ones through the rows of
+    ``field._red_np``, which adds at most (k-1)(p-1)^2: int64 holds the sum
+    while 2k(p-1)^2 < 2^63, so the k output planes are reduced once.  Past
+    that bound the low planes are reduced before the fold as well.  The
+    result is a (..., k) view of planes-first memory."""
     p = field.char
     k = getattr(field, "k", 1)
     if k == 1:
         return a * b % p
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (2 * k - 1,)
-    out = np.zeros(shape, dtype=np.result_type(a, b))
-    for i in range(k):  # k * p^2 < 2^63 in int64, since p < 2^25 and k <= 64
-        out[..., i : i + k] += a[..., i : i + 1] * b
-    return _reduce_planes(out % p, field)
+    nd = max(a.ndim, b.ndim)
+    axes = (nd - 1,) + tuple(range(nd - 1))
+    at = a.reshape((1,) * (nd - a.ndim) + a.shape).transpose(axes)
+    bt = b.reshape((1,) * (nd - b.ndim) + b.shape).transpose(axes)
+    first = at[0] * bt
+    conv = np.empty((2 * k - 1,) + first.shape[1:], dtype=first.dtype)
+    conv[:k] = first
+    conv[k:] = 0
+    for i in range(1, k):
+        conv[i : i + k] += at[i] * bt
+    flat = conv.reshape(2 * k - 1, -1)
+    low, high = flat[:k], flat[k:]
+    if 2 * k * (p - 1) ** 2 >= 1 << 63:
+        low %= p
+    high %= p
+    red = field._red_np if conv.dtype != object else field._red_np.astype(object)
+    low += red.T @ high
+    low %= p
+    return conv[:k].transpose(tuple(range(1, nd)) + (0,))
 
 
 def coord_inv(field, a):
@@ -287,6 +310,7 @@ def kron_product(a: FMatrix, b: FMatrix) -> FMatrix:
     p = field.char
     shape = (a.rows * b.rows, a.cols * b.cols, 2 * k - 1)
     out = np.zeros(shape, dtype=a.data.dtype)
+    once = _one_reduction(out.dtype, k, 1, p)
     for i in range(k):
         plane_a = a.data[:, :, i]
         if not plane_a.any():
@@ -296,6 +320,9 @@ def kron_product(a: FMatrix, b: FMatrix) -> FMatrix:
             if not plane_b.any():
                 continue
             out[:, :, i + j] += np.kron(plane_a, plane_b)
+        if not once:
+            out %= p
+    if once:
         out %= p
     return FMatrix(field, _reduce_planes(out, field))
 

@@ -210,6 +210,34 @@ def test_cli_ignores_removed_backend_variable():
     assert "cube222-inverse-p7" in proc.stdout
 
 
+def test_commands_do_not_import_sympy(tmp_path):
+    # sympy serves only the rational gcd check of paper-examples; the other
+    # commands must start without paying for its import.
+    rule = _write_rule(tmp_path, p=5, dims=(2, 3))
+    pattern = _write_pattern(tmp_path, "2 2 3 5\n1 2\n3 4\n0 1\n")
+    script = (
+        "import sys\n"
+        "from carev.cli import main\n"
+        f"rule, pattern, out = {rule!r}, {pattern!r}, {str(tmp_path)!r}\n"
+        "codes = [\n"
+        "    main(['check', rule, '--report', out + '/check.json']),\n"
+        "    main(['invert', rule, '--out', out + '/tinv.txt']),\n"
+        "    main(['evolve', rule, pattern, '--steps', '3', '--out', out + '/fwd.txt']),\n"
+        "    main(['reverse', rule, out + '/fwd.txt', '--steps', '3', '--out', out + '/back.txt']),\n"
+        "]\n"
+        "assert codes == [0, 0, 0, 0], codes\n"
+        "assert 'sympy' not in sys.modules, sorted(m for m in sys.modules if 'sympy' in m)[:5]\n"
+    )
+    src = str(Path(carev.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "back.txt").read_text() == (tmp_path / "pattern.txt").read_text()
+
+
 def test_paper_examples_perturbed_golden_fails(tmp_path, capsys):
     golden_dir = tmp_path / "goldens"
     golden_dir.mkdir()

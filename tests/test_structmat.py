@@ -8,6 +8,7 @@ from carev.errors import BandTooWide, FieldMismatch, ShapeMismatch
 from carev.field import ExtField, PrimeField, canonical_modulus
 from carev.structmat import (
     FMatrix,
+    coord_mul,
     dot_kron,
     kron_dot,
     kron_many,
@@ -81,6 +82,87 @@ def test_kron_product_matches_numpy():
     got = kron_product(a, b).int_matrix()
     want = np.kron(a.int_matrix(), b.int_matrix()) % 11
     assert np.array_equal(got, want)
+
+
+def _dense_quadratic_field(p):
+    """GF(p^2) modulo x^2 + x + c (irreducible when 1 - 4c is a non-square):
+    both reduction coefficients are nonzero, so folding reaches every plane."""
+    c = next(c for c in range(1, 100) if pow(1 - 4 * c, (p - 1) // 2, p) == p - 1)
+    return ExtField(PrimeField(p), 2, (c, 1, 1))
+
+
+def test_kron_product_ext_matches_scalar_reference():
+    # Reduced once, after the last plane: GF(13^10), and GF(p^2) with p just
+    # below 2^25 and a dense modulus x^2 + x + c, where folding unreduced
+    # planes would overflow int64.  p > 2^25 is stored as objects and reduced
+    # after each plane.
+    rng = random.Random(7)
+    fields = (
+        ExtField(PrimeField(13), 10, canonical_modulus(13, 10)),
+        _dense_quadratic_field(33554393),
+        ExtField(PrimeField(33554467), 2, canonical_modulus(33554467, 2)),
+    )
+    for E in fields:
+        p, k = E.p, E.k
+        a = _rand_matrix(E, 4, 3, rng)
+        b = FMatrix(E, np.full((3, 4, k), p - 1))
+        assert structmat._one_reduction(a.data.dtype, k, 1, p) == (p < 1 << 25)
+        got = kron_product(a, b)
+        for i in range(12):
+            for j in range(12):
+                want = E.mul(a.at(i // 3, j // 4), b.at(i % 3, j % 4))
+                assert got.at(i, j) == want
+
+
+def _coord_mul_reference(E, a, b):
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    a = np.broadcast_to(a, shape + a.shape[-1:])
+    b = np.broadcast_to(b, shape + b.shape[-1:])
+    return {
+        idx: E.mul(tuple(int(v) for v in a[idx]), tuple(int(v) for v in b[idx]))
+        for idx in np.ndindex(shape)
+    }
+
+
+def _assert_coord_mul(E, a, b):
+    got = coord_mul(E, a, b)
+    want = _coord_mul_reference(E, a, b)
+    assert got.shape == np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (E.k,)
+    assert got.dtype == np.result_type(a, b)
+    assert {idx: tuple(int(v) for v in got[idx]) for idx in want} == want
+
+
+def test_coord_mul_matches_scalar_mul():
+    rng = np.random.default_rng(5)
+    shapes = (((3, 1), (4,)), ((2, 3), ()), ((5, 1), (1, 4)), ((), (2, 2, 2)))
+    for p, k in ((7, 2), (5, 3), (13, 10)):
+        E = ExtField(PrimeField(p), k, canonical_modulus(p, k))
+        for sa, sb in shapes:
+            a = rng.integers(0, p, sa + (k,))
+            b = rng.integers(0, p, sb + (k,))
+            _assert_coord_mul(E, a, b)
+        top = np.full((3, k), p - 1)  # the largest plane sums
+        _assert_coord_mul(E, top, top)
+    # p > 2^25: object coordinates, as FMatrix stores them.
+    p = 33554467
+    E = ExtField(PrimeField(p), 3, canonical_modulus(p, 3))
+    a = np.array([[p - 1] * 3, [1, 2, 3], [p - 2, 0, p - 5]], dtype=object)
+    _assert_coord_mul(E, a, a[::-1])
+
+
+def test_coord_mul_past_the_single_reduction_bound():
+    # int64 coordinates with p = 2^31 - 1 and k = 2: each convolution plane
+    # stays below 2^63, but folding the high plane into unreduced low planes
+    # would not, since 2k(p - 1)^2 >= 2^63.
+    p, k = (1 << 31) - 1, 2
+    assert k * (p - 1) ** 2 < 1 << 63 <= 2 * k * (p - 1) ** 2
+    E = _dense_quadratic_field(p)
+    s = p - 46340  # s^2 = 46340^2 mod p, just below p
+    a = np.array([[p - 1, s], [p - 1, p - 1], [1, s]], dtype=np.int64)
+    b = np.array([[p - 1, s], [s, p - 1], [p - 1, 1]], dtype=np.int64)
+    _assert_coord_mul(E, a, b)
+    rng = np.random.default_rng(6)
+    _assert_coord_mul(E, rng.integers(0, p, (4, 1, 2)), rng.integers(0, p, (5, 2)))
 
 
 def test_kron_sum_definition():
