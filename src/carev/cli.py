@@ -5,20 +5,22 @@ Exit codes: 0 success / reversible, 10 irreversible, 2 input error,
 3 internal verification failure (a bug), 4 parameters outside the supported
 range.
 
-What only ``paper-examples`` and ``bench`` use (sympy, importlib.resources,
-csv, statistics) is imported inside them, so the other commands start
-without it.
+sympy (used only by ``paper-examples``) and statistics (used only by
+``bench``) are imported inside the code that needs them, so the other
+commands start without them.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import os
 import sys
 import time
 from functools import cache
+from importlib import resources
 
 from . import kernels, oracle, serialize
 from .ca import RuleSpec, build_T, evolve_local
@@ -209,8 +211,6 @@ def _golden_text(golden_dir, name: str) -> str:
         path = os.path.join(golden_dir, name)
         with open(path) as fh:
             return fh.read()
-    from importlib import resources
-
     return (resources.files("carev") / "goldens" / name).read_text()
 
 
@@ -451,8 +451,6 @@ def bench_case(p: int, dims, repeats: int = 5, baseline_cap: int = 4096):
 
 
 def cmd_bench(args) -> int:
-    import csv
-
     dims_list = [_parse_dims(t) for t in args.dims] or [(12, 12, 12)]
     rows = []
     for dims in dims_list:

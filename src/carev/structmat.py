@@ -61,12 +61,11 @@ def coord_mul(field, a, b):
     the k coordinates; the leading axes broadcast.
 
     The 2k-1 convolution planes are built planes-first, so each plane is one
-    contiguous block, and each sums at most k products below p^2 (int64
-    storage means p < 2^25, so k(p-1)^2 < 2^63 for k <= 64).  The k-1 high
-    planes are reduced and folded into the k low ones through the rows of
-    ``field._red_np``, which adds at most (k-1)(p-1)^2: int64 holds the sum
-    while 2k(p-1)^2 < 2^63, so the k output planes are reduced once.  Past
-    that bound the low planes are reduced before the fold as well.  The
+    contiguous block, and each sums at most k products below p^2.  The k-1
+    high planes are reduced and folded into the k low ones through the rows
+    of ``field._red_np``, which adds at most (k-1)(p-1)^2, and the k output
+    planes are reduced once.  int64 storage means p < 2^25 and k <= 64, so
+    2k(p-1)^2 < 2^57 holds every sum; object arrays hold Python ints.  The
     result is a (..., k) view of planes-first memory."""
     p = field.char
     k = getattr(field, "k", 1)
@@ -84,8 +83,6 @@ def coord_mul(field, a, b):
         conv[i : i + k] += at[i] * bt
     flat = conv.reshape(2 * k - 1, -1)
     low, high = flat[:k], flat[k:]
-    if 2 * k * (p - 1) ** 2 >= 1 << 63:
-        low %= p
     high %= p
     red = field._red_np if conv.dtype != object else field._red_np.astype(object)
     low += red.T @ high
@@ -310,7 +307,6 @@ def kron_product(a: FMatrix, b: FMatrix) -> FMatrix:
     p = field.char
     shape = (a.rows * b.rows, a.cols * b.cols, 2 * k - 1)
     out = np.zeros(shape, dtype=a.data.dtype)
-    once = _one_reduction(out.dtype, k, 1, p)
     for i in range(k):
         plane_a = a.data[:, :, i]
         if not plane_a.any():
@@ -320,10 +316,7 @@ def kron_product(a: FMatrix, b: FMatrix) -> FMatrix:
             if not plane_b.any():
                 continue
             out[:, :, i + j] += np.kron(plane_a, plane_b)
-        if not once:
-            out %= p
-    if once:
-        out %= p
+    out %= p  # each plane sums <= k products below p^2: < 2^56 in int64
     return FMatrix(field, _reduce_planes(out, field))
 
 

@@ -92,10 +92,9 @@ def _dense_quadratic_field(p):
 
 
 def test_kron_product_ext_matches_scalar_reference():
-    # Reduced once, after the last plane: GF(13^10), and GF(p^2) with p just
-    # below 2^25 and a dense modulus x^2 + x + c, where folding unreduced
-    # planes would overflow int64.  p > 2^25 is stored as objects and reduced
-    # after each plane.
+    # GF(13^10); GF(p^2) with p just below 2^25 and a dense modulus
+    # x^2 + x + c, where folding unreduced planes would overflow int64; and
+    # p > 2^25, stored as objects.
     rng = random.Random(7)
     fields = (
         ExtField(PrimeField(13), 10, canonical_modulus(13, 10)),
@@ -106,7 +105,6 @@ def test_kron_product_ext_matches_scalar_reference():
         p, k = E.p, E.k
         a = _rand_matrix(E, 4, 3, rng)
         b = FMatrix(E, np.full((3, 4, k), p - 1))
-        assert structmat._one_reduction(a.data.dtype, k, 1, p) == (p < 1 << 25)
         got = kron_product(a, b)
         for i in range(12):
             for j in range(12):
@@ -143,26 +141,16 @@ def test_coord_mul_matches_scalar_mul():
             _assert_coord_mul(E, a, b)
         top = np.full((3, k), p - 1)  # the largest plane sums
         _assert_coord_mul(E, top, top)
+    # The largest int64 coordinates: p just below 2^25, dense modulus.
+    E = _dense_quadratic_field(33554393)
+    top = np.full((3, 2), E.p - 1)
+    _assert_coord_mul(E, top, top)
+    _assert_coord_mul(E, rng.integers(0, E.p, (4, 1, 2)), top[:1])
     # p > 2^25: object coordinates, as FMatrix stores them.
     p = 33554467
     E = ExtField(PrimeField(p), 3, canonical_modulus(p, 3))
     a = np.array([[p - 1] * 3, [1, 2, 3], [p - 2, 0, p - 5]], dtype=object)
     _assert_coord_mul(E, a, a[::-1])
-
-
-def test_coord_mul_past_the_single_reduction_bound():
-    # int64 coordinates with p = 2^31 - 1 and k = 2: each convolution plane
-    # stays below 2^63, but folding the high plane into unreduced low planes
-    # would not, since 2k(p - 1)^2 >= 2^63.
-    p, k = (1 << 31) - 1, 2
-    assert k * (p - 1) ** 2 < 1 << 63 <= 2 * k * (p - 1) ** 2
-    E = _dense_quadratic_field(p)
-    s = p - 46340  # s^2 = 46340^2 mod p, just below p
-    a = np.array([[p - 1, s], [p - 1, p - 1], [1, s]], dtype=np.int64)
-    b = np.array([[p - 1, s], [s, p - 1], [p - 1, 1]], dtype=np.int64)
-    _assert_coord_mul(E, a, b)
-    rng = np.random.default_rng(6)
-    _assert_coord_mul(E, rng.integers(0, p, (4, 1, 2)), rng.integers(0, p, (5, 2)))
 
 
 def test_kron_sum_definition():
