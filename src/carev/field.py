@@ -1,8 +1,15 @@
 """Exact arithmetic in Z_p and GF(p^k), plus univariate polynomial algebra.
 
-Everything here is pure and value-based: field elements are ints (prime
-field) or tuples of ints (extension field, polynomial basis, little-endian
-degree order), so they are hashable, immutable and safe to share.
+Scalar field elements are pure and value-based: ints (prime field) or tuples
+of ints (extension field, polynomial basis, little-endian degree order), so
+they are hashable, immutable and safe to share.
+
+Arrays of elements are coordinate arrays: an integer array whose last axis
+holds the k polynomial-basis coordinates of each element (k = 1 for a prime
+field).  This module owns their storage rules (``_dtype_for``), the plane
+layout of their products and the reduction rows of the modulus; every array
+product goes through ``coord_mul`` (elementwise) or ``coord_matmul``
+(matrix product).
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     DivisionByZero,
     DoesNotSplit,
@@ -147,7 +155,7 @@ class PrimeField:
 class ExtField:
     """GF(p^k) as Z_p[a]/(modulus), elements are coefficient tuples."""
 
-    __slots__ = ("base", "k", "modulus", "_red", "_red_np", "_big")
+    __slots__ = ("base", "k", "modulus", "_red", "_red_np")
 
     def __init__(self, base: PrimeField, k: int, modulus):
         if k < 2:
@@ -162,19 +170,10 @@ class ExtField:
         self.base = base
         self.k = k
         self.modulus = modulus
-        p = base.p
         # Reduction rows: a^(k+i) mod modulus for i = 0 .. k-2.
-        rows = []
-        prev = tuple((-c) % p for c in modulus[:k])
-        rows.append(prev)
-        for _ in range(k - 2):
-            shifted = (0,) + prev
-            top = shifted[k]
-            prev = tuple((shifted[i] + top * rows[0][i]) % p for i in range(k))
-            rows.append(prev)
-        self._red = tuple(rows)
-        self._red_np = np.array(rows, dtype=np.int64) if rows else np.zeros((0, k), dtype=np.int64)
-        self._big = k >= 16 and p < (1 << 26)
+        coords = np.array(modulus, dtype=_dtype_for(base))[:, None]
+        self._red_np = np.ascontiguousarray(_power_rows(base, coords)[:, :, 0])
+        self._red = tuple(map(tuple, self._red_np.tolist()))
 
     @property
     def p(self) -> int:
@@ -223,12 +222,10 @@ class ExtField:
 
     def mul(self, a, b):
         p, k = self.p, self.k
-        if self._big:
-            conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)) % p
-            res = conv[:k].copy()
-            if conv.shape[0] > k:
-                res = (res + conv[k:] @ self._red_np) % p
-            return tuple(int(x) for x in res)
+        if k >= 16:
+            dt = self._red_np.dtype
+            conv = np.convolve(np.asarray(a, dtype=dt), np.asarray(b, dtype=dt)) % p
+            return tuple(int(x) for x in _reduce_planes(conv, self))
         conv = [0] * (2 * k - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -444,15 +441,7 @@ class Poly:
 
     def derivative(self):
         F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            # i * c in the field: add c to itself (i mod char) times.
-            c = self.coeffs[i]
-            acc = F.zero
-            for _ in range(i % F.char):
-                acc = F.add(acc, c)
-            out.append(acc)
-        return Poly(F, out)
+        return Poly(F, [F.mul(F.embed(i), c) for i, c in enumerate(self.coeffs) if i])
 
     def eval(self, x):
         F = self.field
@@ -532,154 +521,160 @@ def _seed_for(*parts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fast modular polynomial arithmetic over GF(p) (numpy-backed), used by the
-# irreducibility test and distinct-degree factorization.
+# Coordinate arrays
 # ---------------------------------------------------------------------------
 
 
-class _GFpModCtx:
-    """Arithmetic in GF(p)[x] modulo a fixed monic polynomial."""
+def _dtype_for(field):
+    """Storage of the field's coordinate arrays: int64 while p < 2^25, so
+    p^2 < 2^50 and any sum of up to 2^13 products below p^2 is exact (a
+    convolution plane of k <= 64 products and its fold, a ``_ModCtx``
+    product of degree n with n k < 2^13).  Larger p store Python ints."""
+    return object if field.char >= 1 << 25 else np.int64
 
-    def __init__(self, f: Poly):
-        field = f.field
-        p, D = field.p, f.degree
-        self.p, self.D = p, D
-        dtype = object if p >= (1 << 26) else np.int64
-        self.dtype = dtype
-        rows = []
-        if D >= 1:
-            r0 = np.array([(-c) % p for c in f.coeffs[:D]], dtype=dtype)
-            rows.append(r0)
-            prev = r0
-            for _ in range(D - 2):
-                shifted = np.concatenate(([0], prev[:-1]))
-                top = prev[-1]
-                prev = (shifted + top * r0) % p
-                rows.append(prev)
-        self.table = np.array(rows, dtype=dtype) if rows else np.zeros((0, max(D, 1)), dtype=dtype)
 
-    def reduce(self, vec):
-        D, p = self.D, self.p
-        if vec.shape[0] <= D:
-            out = np.zeros(D, dtype=self.dtype)
-            out[: vec.shape[0]] = vec % p
-            return out
-        low = vec[:D] % p
-        high = vec[D:] % p
-        return (low + high @ self.table[: high.shape[0]]) % p
+def _reduce_planes(arr, field):
+    """Collapse (..., 2k-1) convolution planes, entries below p, to (..., k)
+    coordinates mod p, folding plane k+i in through the row a^(k+i)."""
+    k = field.k
+    if k == 1:
+        return arr
+    return (arr[..., :k] + arr[..., k:] @ field._red_np) % field.char
+
+
+def _one_reduction(dtype, k: int, m: int, p: int) -> bool:
+    """Whether the 2k-1 convolution planes of a product with inner dimension
+    m may be reduced once, after all k plane products: each plane sums at
+    most k * m products of entries below p, which int64 holds exactly while
+    k * m * (p - 1)^2 < 2^63, and Python ints always."""
+    return dtype == object or k * m * (p - 1) ** 2 < 1 << 63
+
+
+def coord_mul(field, a, b):
+    """Elementwise field product of coordinate arrays whose last axis holds
+    the k coordinates; the leading axes broadcast.
+
+    The 2k-1 convolution planes are built planes-first, so each plane is one
+    contiguous block, and each sums at most k products below p^2.  The k-1
+    high planes are reduced and folded into the k low ones through the rows
+    of ``field._red_np``, which adds at most (k-1)(p-1)^2, and the k output
+    planes are reduced once; ``_dtype_for`` keeps every sum in range.  The
+    result is a (..., k) view of planes-first memory."""
+    p, k = field.char, field.k
+    if k == 1:
+        return a * b % p
+    nd = max(a.ndim, b.ndim)
+    axes = (nd - 1,) + tuple(range(nd - 1))
+    at = a.reshape((1,) * (nd - a.ndim) + a.shape).transpose(axes)
+    bt = b.reshape((1,) * (nd - b.ndim) + b.shape).transpose(axes)
+    first = at[0] * bt
+    conv = np.empty((2 * k - 1,) + first.shape[1:], dtype=first.dtype)
+    conv[:k] = first
+    conv[k:] = 0
+    for i in range(1, k):
+        conv[i : i + k] += at[i] * bt
+    flat = conv.reshape(2 * k - 1, -1)
+    low, high = flat[:k], flat[k:]
+    high %= p
+    low += field._red_np.T @ high
+    low %= p
+    return conv[:k].transpose(tuple(range(1, nd)) + (0,))
+
+
+def coord_inv(field, a):
+    """Elementwise inverse of nonzero coordinate arrays, as a^(q-2)."""
+    result = np.zeros_like(a)
+    result[..., 0] = 1
+    for bit in bin(field.order - 2)[2:]:  # square and multiply, high bit first
+        result = coord_mul(field, result, result)
+        if bit == "1":
+            result = coord_mul(field, result, a)
+    return result
+
+
+def coord_matmul(field, a, b):
+    """Matrix product (r, m, k) @ (m, c, k) -> (r, c, k) of coordinate arrays.
+
+    GF(p) in int64 is ``kernels.matmul_mod``.  Otherwise coordinate plane i
+    of a times every plane of b is one (r, m) @ (m, c k) product, added into
+    convolution planes i .. i+k-1.  The planes are reduced mod p once, after
+    the last product, when ``_one_reduction`` allows (delayed reduction as in
+    FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), else
+    after each, and then folded to k coordinates."""
+    p, k = field.char, field.k
+    if k == 1 and a.dtype != object:
+        return kernels.matmul_mod(a[:, :, 0], b[:, :, 0], p)[:, :, None]
+    r, m, c = a.shape[0], a.shape[1], b.shape[1]
+    bflat = b.reshape(m, c * k)
+    out = np.zeros((r, c, 2 * k - 1), dtype=a.dtype)
+    once = _one_reduction(out.dtype, k, m, p)
+    for i in range(k):
+        out[:, :, i : i + k] += (np.ascontiguousarray(a[:, :, i]) @ bflat).reshape(r, c, k)
+        if not once or i == k - 1:
+            out %= p
+    return _reduce_planes(out, field)
+
+
+def _power_rows(field, h):
+    """x^(n+i) mod h for i = 0 .. n-2 as an (n-1, n, k) coordinate array, for
+    h monic of degree n given as its (n+1, k) coordinate array: row 0 is
+    -h mod x^n, and each further row is x times the last one, its top
+    coefficient folded back in through row 0."""
+    p, n = field.char, h.shape[0] - 1
+    rows = np.zeros((max(n - 1, 0), n, h.shape[1]), dtype=h.dtype)
+    if n > 1:
+        rows[0] = -h[:n] % p
+    for i in range(1, n - 1):
+        rows[i, 1:] = rows[i - 1, :-1]
+        rows[i] = (rows[i] + coord_mul(field, rows[i - 1, -1], rows[0])) % p
+    return rows
+
+
+class _ModCtx:
+    """Arithmetic in field[x]/(h) for a monic h of degree n; a residue is an
+    (n, k) coordinate array.
+
+    A product is one 1-D convolution by Kronecker substitution: each
+    coefficient gets a block of 2k-1 slots, so the coordinate planes of
+    neighbouring coefficients never overlap.  The blocks are reduced mod p
+    before their planes are folded (a plane sums up to n k products below
+    p^2), and reduction mod h is one ``coord_matmul`` with the rows
+    x^(n+i) mod h."""
+
+    def __init__(self, field, h: Poly):
+        self.field, self.p, self.k, self.n = field, field.char, field.k, h.degree
+        self.dtype = _dtype_for(field)
+        coords = np.array([field.coeff_vector(c) for c in h.coeffs], dtype=self.dtype)
+        self.table = _power_rows(field, coords)
 
     def mul(self, a, b):
-        return self.reduce(np.convolve(a, b))
+        n, k, p = self.n, self.k, self.p
+        w = 2 * k - 1
+        fa = np.zeros((n, w), dtype=a.dtype)
+        fb = np.zeros((n, w), dtype=a.dtype)
+        fa[:, :k], fb[:, :k] = a, b
+        conv = np.convolve(fa.reshape(-1), fb.reshape(-1))[: (2 * n - 1) * w] % p
+        c = _reduce_planes(conv.reshape(2 * n - 1, w), self.field)
+        return (c[:n] + coord_matmul(self.field, c[None, n:], self.table)[0]) % p
 
     def pow(self, a, e: int):
-        result = np.zeros(self.D, dtype=self.dtype)
-        if self.D == 0:
-            return result
-        result[0] = 1
-        b = self.reduce(a.copy())
-        while e:
-            if e & 1:
-                result = self.mul(result, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return result
-
-    def to_poly(self, vec, field) -> Poly:
-        return Poly(field, [int(c) for c in vec])
-
-    def from_poly(self, f: Poly):
-        out = np.zeros(self.D, dtype=self.dtype)
-        for i, c in enumerate(f.coeffs):
-            out[i] = c
-        return out
-
-
-class _ExtModCtx:
-    """Arithmetic in E[x] modulo a fixed monic polynomial, E an extension
-    field.  Polynomials are (deg, k) coefficient arrays; products use one
-    1-D convolution via Kronecker substitution (ext blocks of width 2k-1
-    never overlap)."""
-
-    def __init__(self, E: "ExtField", h: Poly):
-        self.E = E
-        self.p = E.char
-        self.k = E.k
-        self.n = h.degree
-        self.width = 2 * self.k - 1
-        self.dtype = object if self.p >= (1 << 25) else np.int64
-        self.red = E._red_np.astype(self.dtype)
-        hc = np.array([E.coeff_vector(c) for c in h.coeffs], dtype=self.dtype)
-        rows = [(-hc[: self.n]) % self.p]  # x^n mod h (h is monic)
-        for _ in range(self.n - 2):
-            cur = rows[-1]
-            top = cur[-1].copy()
-            shifted = np.vstack([np.zeros((1, self.k), dtype=self.dtype), cur[:-1]])
-            rows.append((shifted + self._scalar_mul(top, rows[0])) % self.p)
-        self.table = rows
-
-    def _scalar_mul(self, s, a):
-        """Multiply each ext coefficient of a (rows) by the ext element s."""
-        out = np.zeros((a.shape[0], self.width), dtype=self.dtype)
-        for u in range(self.k):
-            if s[u]:
-                out[:, u : u + self.k] += s[u] * a
-        out %= self.p
-        return (out[:, : self.k] + out[:, self.k :] @ self.red) % self.p
-
-    def reduce(self, c):
-        n, p = self.n, self.p
-        if c.shape[0] <= n:
-            out = np.zeros((n, self.k), dtype=self.dtype)
-            out[: c.shape[0]] = c % p
-            return out
-        out = c[:n] % p
-        for j in range(n, c.shape[0]):
-            s = c[j] % p
-            if s.any():
-                out = (out + self._scalar_mul(s, self.table[j - n])) % p
-        return out
-
-    def mul(self, a, b):
-        n, k, w = self.n, self.k, self.width
-        fa = np.zeros((n, w), dtype=self.dtype)
-        fa[:, :k] = a
-        fb = np.zeros((n, w), dtype=self.dtype)
-        fb[:, :k] = b
-        conv = np.convolve(fa.reshape(-1), fb.reshape(-1))
-        full = np.zeros(((2 * n - 1) * w,), dtype=self.dtype)
-        keep = min(conv.shape[0], full.shape[0])
-        full[:keep] = conv[:keep]  # anything past block 2n-2 is structurally zero
-        blocks = full.reshape(2 * n - 1, w) % self.p
-        ext_red = (blocks[:, :k] + blocks[:, k:] @ self.red) % self.p
-        return self.reduce(ext_red)
-
-    def pow(self, a, e: int):
-        result = np.zeros((self.n, self.k), dtype=self.dtype)
+        result = np.zeros_like(a)
         result[0, 0] = 1
-        b = self.reduce(a.copy())
         while e:
             if e & 1:
-                result = self.mul(result, b)
-            b = self.mul(b, b)
+                result = self.mul(result, a)
+            a = self.mul(a, a)
             e >>= 1
         return result
 
-    def to_poly(self, vec, field=None) -> Poly:
-        E = self.E
-        return Poly(E, [E.elem([int(v) for v in row]) for row in vec])
+    def to_poly(self, vec) -> Poly:
+        return Poly(self.field, [self.field.elem(row) for row in vec.tolist()])
 
     def from_poly(self, f: Poly):
         out = np.zeros((self.n, self.k), dtype=self.dtype)
         for i, c in enumerate(f.coeffs):
-            out[i] = self.E.coeff_vector(c)
+            out[i] = self.field.coeff_vector(c)
         return out
-
-
-def _mod_ctx(field, h: Poly):
-    """Numpy-backed modular-arithmetic context for field[x]/(h)."""
-    if isinstance(field, ExtField):
-        return _ExtModCtx(field, h)
-    return _GFpModCtx(h)
 
 
 # ---------------------------------------------------------------------------
@@ -756,20 +751,20 @@ def factor_distinct_degree(f: Poly):
     p = field.p
     out = []
     rem = f
-    ctx = _GFpModCtx(rem)
+    ctx = _ModCtx(field, rem)
     h = ctx.from_poly(Poly.x(field) % rem)
     d = 0
     while rem.degree > 2 * d:
         d += 1
         h = ctx.pow(h, p)
-        hp = ctx.to_poly(h, field)
+        hp = ctx.to_poly(h)
         g = (hp - Poly.x(field)).gcd(rem)
         if g.degree > 0:
             out.append((d, g.monic()))
             rem = (rem // g).monic()
             if rem.degree == 0:
                 break
-            ctx = _GFpModCtx(rem)
+            ctx = _ModCtx(field, rem)
             h = ctx.from_poly(hp % rem)
     if rem.degree > 0:
         out.append((rem.degree, rem))
@@ -785,18 +780,18 @@ def is_irreducible(f: Poly) -> bool:
         return True
     field = f.field
     p = field.p
-    ctx = _GFpModCtx(f.monic())
+    ctx = _ModCtx(field, f.monic())
     x = ctx.from_poly(Poly.x(field) % f)
     # x^(p^j) mod f for j = 1..k via repeated Frobenius.
     powers = {}
-    h = x.copy()
+    h = x
     for j in range(1, k + 1):
         h = ctx.pow(h, p)
-        powers[j] = h.copy()
-    if not np.array_equal(ctx.reduce(powers[k]), ctx.reduce(x)):
+        powers[j] = h
+    if not np.array_equal(powers[k], x):
         return False
     for q in _prime_divisors(k):
-        hp = ctx.to_poly(powers[k // q], field)
+        hp = ctx.to_poly(powers[k // q])
         if (hp - Poly.x(field)).gcd(f).degree != 0:
             return False
     return True
@@ -821,10 +816,14 @@ def canonical_modulus(p: int, k: int) -> tuple:
     """Smallest monic irreducible of degree k over GF(p).
 
     Candidates are ordered with the constant term varying fastest, so the
-    choice is reproducible everywhere.
+    choice is reproducible everywhere.  The first p candidates are the
+    binomials x^k + c.  None of them is irreducible when a prime factor of k
+    does not divide p - 1, or when 4 | k and p = 3 (mod 4) (Lidl and
+    Niederreiter, Finite Fields, Thm 3.75); the scan then starts past them.
     """
     field = PrimeField(p)
-    for n in range(p**k):
+    no_binomial = any((p - 1) % r for r in _prime_divisors(k)) or (k % 4 == 0 and p % 4 == 3)
+    for n in range(p if no_binomial else 0, p**k):
         digits = []
         t = n
         for _ in range(k):
@@ -836,6 +835,32 @@ def canonical_modulus(p: int, k: int) -> tuple:
     raise InternalVerificationFailed("no irreducible polynomial found")  # pragma: no cover
 
 
+def _split_step(g: Poly, d: int, rng: random.Random) -> Poly:
+    """A proper monic factor of g, a monic product of distinct irreducibles
+    of degree d over its field, by Cantor-Zassenhaus random splitting."""
+    field = g.field
+    q = field.order
+    n = g.degree
+    ctx = _ModCtx(field, g)
+    while True:
+        h = Poly(field, [field.rand_elem(rng) for _ in range(n)])
+        if h.degree < 1:
+            continue
+        hv = ctx.from_poly(h)
+        if q % 2 == 1:
+            w = ctx.to_poly(ctx.pow(hv, (q**d - 1) // 2)) - Poly.one(field)
+        else:
+            # Characteristic 2: trace map over GF(2), a sum of d log2(q) squares.
+            t = acc = hv
+            for _ in range(d * (q.bit_length() - 1) - 1):
+                t = ctx.mul(t, t)
+                acc = (acc + t) % 2
+            w = ctx.to_poly(acc)
+        c = w.gcd(g)
+        if 0 < c.degree < g.degree:
+            return c
+
+
 def equal_degree_factor(f: Poly, d: int, rng: random.Random | None = None):
     """Split a monic product of distinct degree-d irreducibles (Cantor-Zassenhaus).
 
@@ -845,45 +870,19 @@ def equal_degree_factor(f: Poly, d: int, rng: random.Random | None = None):
     field = f.field
     if rng is None:
         rng = random.Random(_seed_for("edf", repr(field), f.coeffs, d))
-    q = field.order
     out = []
 
     def split(g: Poly):
         if g.degree == d:
             out.append(g.monic())
             return
-        n = g.degree
-        ctx = _mod_ctx(field, g)
-        while True:
-            h = Poly(field, [field.rand_elem(rng) for _ in range(n)])
-            if h.degree < 1:
-                continue
-            hv = ctx.from_poly(h)
-            if q % 2 == 1:
-                w = ctx.to_poly(ctx.pow(hv, (q**d - 1) // 2), field) - Poly.one(field)
-            else:
-                # Characteristic 2: trace map over GF(2).
-                bits = d * _log2_order(field)
-                t = hv
-                acc = hv.copy()
-                for _ in range(bits - 1):
-                    t = ctx.mul(t, t)
-                    acc = (acc + t) % 2
-                w = ctx.to_poly(acc, field)
-            c = w.gcd(g)
-            if 0 < c.degree < g.degree:
-                split(c.monic())
-                split((g // c).monic())
-                return
+        c = _split_step(g, d, rng)
+        split(c)
+        split((g // c).monic())
 
     split(f.monic())
     out.sort(key=lambda t: t.coeffs)
     return out
-
-
-def _log2_order(field) -> int:
-    # Only meaningful in characteristic 2.
-    return field.k if isinstance(field, ExtField) else 1
 
 
 def factor_irreducible(f: Poly):
@@ -940,55 +939,21 @@ def _root_in_ext(G: Poly, E) -> tuple:
     """One root in E of an irreducible G over GF(p) whose degree divides E.k."""
     h = G.lift(E).monic()
     rng = random.Random(_seed_for("root", E.p, E.modulus, G.coeffs))
-    q = E.order
     while h.degree > 1:
-        n = h.degree
-        ctx = _ExtModCtx(E, h)
-        while True:
-            cand = Poly(E, [E.rand_elem(rng) for _ in range(n)])
-            if cand.degree < 1:
-                continue
-            cv = ctx.from_poly(cand)
-            if q % 2 == 1:
-                w = ctx.to_poly(ctx.pow(cv, (q - 1) // 2)) - Poly.one(E)
-            else:
-                t = cv
-                acc = cv.copy()
-                for _ in range(E.k - 1):
-                    t = ctx.mul(t, t)
-                    acc = (acc + t) % 2
-                w = ctx.to_poly(acc)
-            c = w.gcd(h)
-            if 0 < c.degree < h.degree:
-                h = c.monic() if c.degree <= h.degree - c.degree else (h // c).monic()
-                break
+        c = _split_step(h, 1, rng)
+        h = c if 2 * c.degree <= h.degree else (h // c).monic()
     return _root_of_linear(h)
 
 
 def _eval_all_np(g: Poly, E):
-    """Evaluate g at every element of E (vectorized); returns (elements, values)."""
-    p, k = E.char, E.k if isinstance(E, ExtField) else 1
-    q = E.order
-    elems = np.zeros((q, k), dtype=np.int64)
-    idx = np.arange(q)
-    for i in range(k):
-        elems[:, i] = idx % p
-        idx //= p
-    coeffs = [np.asarray(E.coeff_vector(c), dtype=np.int64) for c in g.coeffs]
-    acc = np.zeros((q, k), dtype=np.int64)
-    acc += coeffs[-1]
-    if isinstance(E, ExtField):
-        red = E._red_np
-        for c in reversed(coeffs[:-1]):
-            conv = np.zeros((q, 2 * k - 1), dtype=np.int64)
-            for u in range(k):
-                conv[:, u : u + k] += acc[:, u : u + 1] * elems
-            conv %= p
-            nxt = conv[:, :k] + conv[:, k:] @ red
-            acc = (nxt + c) % p
-    else:
-        for c in reversed(coeffs[:-1]):
-            acc = (acc * elems + c) % p
+    """Evaluate g at every element of E by one Horner loop on coordinate
+    arrays; returns (elements, values), element i having the base-p digits
+    of i as coordinates."""
+    p = E.char
+    elems = np.arange(E.order)[:, None] // p ** np.arange(E.k) % p
+    acc = np.zeros_like(elems)
+    for c in reversed(g.coeffs):
+        acc = (coord_mul(E, acc, elems) + E.coeff_vector(c)) % p
     return elems, acc
 
 
@@ -998,7 +963,6 @@ def roots_with_multiplicity(f: Poly, E):
     Verifies by reconstruction that f splits completely; raises DoesNotSplit
     otherwise.
     """
-    base = f.field
     if f.degree < 0:
         raise InputError("zero polynomial")
     if f.degree == 0:
@@ -1008,21 +972,12 @@ def roots_with_multiplicity(f: Poly, E):
         # Multiplicities come from the squarefree decomposition over the base
         # field; each squarefree part is scanned for (necessarily distinct)
         # roots, avoiding repeated synthetic division in the extension.
-        p = E.char
-        k = E.k if isinstance(E, ExtField) else 1
         for part, mult in squarefree_decomposition(f.monic()):
-            g = part.lift(E) if isinstance(E, ExtField) else part
-            _, vals = _eval_all_np(g, E)
+            elems, vals = _eval_all_np(part.lift(E), E)
             hit = np.nonzero(~vals.any(axis=1))[0]
             if hit.size != part.degree:
                 raise DoesNotSplit(f"{f!r} does not split over {E!r}")
-            for flat in hit:
-                coeffs, t = [], int(flat)
-                for _ in range(k):
-                    coeffs.append(t % p)
-                    t //= p
-                alpha = E.elem(coeffs) if isinstance(E, ExtField) else coeffs[0]
-                roots.append((alpha, mult))
+            roots.extend((E.elem(elems[i].tolist()), mult) for i in hit)
     else:
         for G, mult in factor_irreducible(f):
             d = G.degree
@@ -1038,7 +993,7 @@ def roots_with_multiplicity(f: Poly, E):
             for r in orbit:
                 roots.append((r, mult))
     # Reconstruction check.
-    prod = Poly(E, (E.embed(base.elem(f.lead)) if isinstance(E, ExtField) else f.lead,))
+    prod = Poly(E, (E.embed(f.lead),))
     for alpha, mult in roots:
         lin = Poly(E, (E.neg(alpha), E.one))
         for _ in range(mult):

@@ -22,8 +22,8 @@ def matmul_mod(a, b, p: int):
     n = a.shape[1]
     # Chunk the contraction so partial sums stay below 2^63.
     chunk = max(1, (1 << 62) // max(p - 1, 1) ** 2)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, n, chunk):
+    out = a[:, :chunk] @ b[:chunk] % p
+    for s in range(chunk, n, chunk):
         out = (out + a[:, s : s + chunk] @ b[s : s + chunk, :]) % p
     return out
 

@@ -45,18 +45,17 @@ from .errors import (
     Singular,
     SizeCapExceeded,
 )
-from .field import Poly, PrimeField, roots_with_multiplicity, splitting_field
-from .oracle import SpanTracker
-from .structmat import (
-    MATRIX_SIZE_CAP,
-    FMatrix,
+from .field import (
+    Poly,
+    PrimeField,
     _dtype_for,
     coord_inv,
     coord_mul,
-    kron_dot,
-    kron_many,
-    kron_sum,
+    roots_with_multiplicity,
+    splitting_field,
 )
+from .oracle import SpanTracker
+from .structmat import MATRIX_SIZE_CAP, FMatrix, kron_dot, kron_many, kron_sum
 
 # The full conjugation check T U = U J holds the dense N x N matrix U (N^2 k
 # coordinates) in memory, so it runs only up to this many cells; its time is

@@ -2,9 +2,9 @@
 constructors used throughout: banded Toeplitz blocks, Kronecker products and
 Kronecker sums, and fast multiplication by Kronecker-factored matrices.
 
-Storage is a numpy int64 array of shape (rows, cols, k) holding the
-polynomial-basis coordinates of each entry (k = 1 for prime fields).  For
-very large p the dtype falls back to Python objects to avoid overflow.
+An FMatrix stores its entries as a (rows, cols, k) coordinate array of
+``carev.field``, whose storage rules (dtype, plane layout, reduction) it
+follows; products go through ``field.coord_matmul`` and ``field.coord_mul``.
 """
 
 from __future__ import annotations
@@ -13,92 +13,17 @@ import math
 
 import numpy as np
 
-from . import kernels
 from .errors import BandTooWide, FieldMismatch, InputError, ShapeMismatch
-from .field import ExtField, PrimeField
-
-# int64 plane products stay exact while n * p^2 < 2^63 at desk sizes.
-_OBJ_THRESHOLD = 1 << 25
+from .field import (
+    ExtField,
+    PrimeField,
+    _dtype_for,
+    _reduce_planes,
+    coord_matmul,
+    coord_mul,
+)
 
 MATRIX_SIZE_CAP = 4096
-
-
-def _dtype_for(field):
-    return object if field.char >= _OBJ_THRESHOLD else np.int64
-
-
-def _mm_raw(a, b):
-    """Plain integer matrix product (no reduction); object-safe."""
-    if a.dtype == object or b.dtype == object:
-        return np.dot(a, b)
-    return a @ b
-
-
-def _reduce_planes(arr, field):
-    """Collapse (..., 2k-1) convolution planes to (..., k) modulo the field."""
-    p = field.char
-    k = getattr(field, "k", 1)
-    if k == 1:
-        return arr[..., :1] % p
-    low = arr[..., :k]
-    high = arr[..., k:]
-    red = field._red_np
-    if arr.dtype == object:
-        red = red.astype(object)
-    return (low + high @ red) % p
-
-
-def _one_reduction(dtype, k: int, m: int, p: int) -> bool:
-    """Whether the 2k-1 convolution planes of a product with inner dimension
-    m may be reduced once, after all k plane products: each plane sums at
-    most k * m products of entries below p, which int64 holds exactly while
-    k * m * (p - 1)^2 < 2^63.  Object arrays keep one reduction per plane."""
-    return dtype != object and k * m * (p - 1) ** 2 < 1 << 63
-
-
-def coord_mul(field, a, b):
-    """Elementwise field product of coordinate arrays whose last axis holds
-    the k coordinates; the leading axes broadcast.
-
-    The 2k-1 convolution planes are built planes-first, so each plane is one
-    contiguous block, and each sums at most k products below p^2.  The k-1
-    high planes are reduced and folded into the k low ones through the rows
-    of ``field._red_np``, which adds at most (k-1)(p-1)^2, and the k output
-    planes are reduced once.  int64 storage means p < 2^25 and k <= 64, so
-    2k(p-1)^2 < 2^57 holds every sum; object arrays hold Python ints.  The
-    result is a (..., k) view of planes-first memory."""
-    p = field.char
-    k = getattr(field, "k", 1)
-    if k == 1:
-        return a * b % p
-    nd = max(a.ndim, b.ndim)
-    axes = (nd - 1,) + tuple(range(nd - 1))
-    at = a.reshape((1,) * (nd - a.ndim) + a.shape).transpose(axes)
-    bt = b.reshape((1,) * (nd - b.ndim) + b.shape).transpose(axes)
-    first = at[0] * bt
-    conv = np.empty((2 * k - 1,) + first.shape[1:], dtype=first.dtype)
-    conv[:k] = first
-    conv[k:] = 0
-    for i in range(1, k):
-        conv[i : i + k] += at[i] * bt
-    flat = conv.reshape(2 * k - 1, -1)
-    low, high = flat[:k], flat[k:]
-    high %= p
-    red = field._red_np if conv.dtype != object else field._red_np.astype(object)
-    low += red.T @ high
-    low %= p
-    return conv[:k].transpose(tuple(range(1, nd)) + (0,))
-
-
-def coord_inv(field, a):
-    """Elementwise inverse of nonzero coordinate arrays, as a^(q-2)."""
-    result = np.zeros_like(a)
-    result[..., 0] = 1
-    for bit in bin(field.order - 2)[2:]:  # square and multiply, high bit first
-        result = coord_mul(field, result, result)
-        if bit == "1":
-            result = coord_mul(field, result, a)
-    return result
 
 
 class FMatrix:
@@ -214,21 +139,7 @@ class FMatrix:
         self._check(other)
         if self.cols != other.rows:
             raise ShapeMismatch("inner dimensions differ")
-        field = self.field
-        p = field.char
-        k = getattr(field, "k", 1)
-        if k == 1 and self.data.dtype != object:
-            out = kernels.matmul_mod(self.data[:, :, 0], other.data[:, :, 0], p)
-            return FMatrix(field, out[:, :, None])
-        bflat = other.data.reshape(other.rows, other.cols * k)
-        out = np.zeros((self.rows, other.cols, 2 * k - 1), dtype=self.data.dtype)
-        once = _one_reduction(out.dtype, k, self.cols, p)
-        for a in range(k):
-            prod = _mm_raw(np.ascontiguousarray(self.data[:, :, a]), bflat)
-            out[:, :, a : a + k] += prod.reshape(self.rows, other.cols, k)
-            if not once or a == k - 1:
-                out %= p
-        return FMatrix(field, _reduce_planes(out, field))
+        return FMatrix(self.field, coord_matmul(self.field, self.data, other.data))
 
     def scale(self, elem):
         field = self.field
@@ -350,21 +261,10 @@ def kron_many(factors) -> FMatrix:
 
 def _apply_axis(a_data, x, axis, field):
     """Contract square factor a along one tensor axis of x (last dim = planes)."""
-    p = field.char
-    k = getattr(field, "k", 1)
     xm = np.moveaxis(x, axis, 0)
-    shape = xm.shape
-    m = shape[0]
-    xf = np.ascontiguousarray(xm).reshape(m, -1)
-    out = np.zeros((m, xf.shape[1] // k, 2 * k - 1), dtype=x.dtype)
-    once = _one_reduction(out.dtype, k, m, p)
-    for a in range(k):
-        prod = _mm_raw(np.ascontiguousarray(a_data[:, :, a]), xf)
-        out[:, :, a : a + k] += prod.reshape(m, -1, k)
-        if not once or a == k - 1:
-            out %= p
-    red = _reduce_planes(out, field).reshape(shape)
-    return np.moveaxis(red, 0, axis)
+    m = xm.shape[0]
+    y = coord_matmul(field, a_data, np.ascontiguousarray(xm).reshape(m, -1, field.k))
+    return np.moveaxis(y.reshape(xm.shape), 0, axis)
 
 
 def kron_dot(factors, m: FMatrix) -> FMatrix:

@@ -12,7 +12,7 @@ from carev.field import (
     ExtField,
     Poly,
     PrimeField,
-    _ExtModCtx,
+    _ModCtx,
     canonical_modulus,
     equal_degree_factor,
     factor_distinct_degree,
@@ -246,6 +246,12 @@ def test_roots_large_field_path():
         assert f.lift(E).eval(lam) == E.zero
 
 
+def _assert_mod_ctx_matches(E, h, a, b, e):
+    ctx = _ModCtx(E, h)
+    assert ctx.to_poly(ctx.mul(ctx.from_poly(a), ctx.from_poly(b))) == (a * b) % h
+    assert ctx.to_poly(ctx.pow(ctx.from_poly(a), e)) == a.pow_mod(e, h)
+
+
 def test_ext_mod_ctx_matches_poly_ops():
     rng = random.Random(23)
     for _ in range(60):
@@ -254,9 +260,62 @@ def test_ext_mod_ctx_matches_poly_ops():
         E = ExtField(PrimeField(p), k, canonical_modulus(p, k))
         n = rng.randint(1, 5)
         h = Poly(E, [E.rand_elem(rng) for _ in range(n)] + [E.one])
-        ctx = _ExtModCtx(E, h)
         a = Poly(E, [E.rand_elem(rng) for _ in range(n)])
         b = Poly(E, [E.rand_elem(rng) for _ in range(n)])
-        assert ctx.to_poly(ctx.mul(ctx.from_poly(a), ctx.from_poly(b))) == (a * b) % h
-        e = rng.randrange(1, 200)
-        assert ctx.to_poly(ctx.pow(ctx.from_poly(a), e)) == a.pow_mod(e, h)
+        _assert_mod_ctx_matches(E, h, a, b, rng.randrange(1, 200))
+    # GF(p) itself (k = 1); GF(p^2) with p just below 2^25, the largest int64
+    # coordinates, modulo x^2 - 3 and modulo a dense x^2 + x + c (the planes
+    # must be reduced mod p before this fold, or its sums overflow); and
+    # GF(p^2) with p > 2^25 in object coordinates.  Each h and a has every
+    # coordinate p - 1, which makes the largest plane sums.
+    big = 33554393
+    c = next(c for c in range(1, 100) if pow(1 - 4 * c, (big - 1) // 2, big) == big - 1)
+    fields = (
+        PrimeField(7),
+        PrimeField(33554467),
+        ExtField(PrimeField(big), 2, (big - 3, 0, 1)),
+        ExtField(PrimeField(big), 2, (c, 1, 1)),
+        ExtField(PrimeField(33554467), 2, canonical_modulus(33554467, 2)),
+    )
+    for E in fields:
+        top = E.elem([E.p - 1] * E.k)
+        for n in (1, 2, 5):
+            h = Poly(E, [top] * n + [E.one])
+            a = Poly(E, [top] * n)
+            b = Poly(E, [E.rand_elem(rng) for _ in range(n)])
+            _assert_mod_ctx_matches(E, h, a, b, rng.randrange(1, 200))
+
+
+def _canonical_modulus_by_full_scan(p, k):
+    """The scan without the binomial shortcut: every monic degree-k
+    polynomial, constant term varying fastest."""
+    F = PrimeField(p)
+    for n in range(p**k):
+        cand = Poly(F, [n // p**i % p for i in range(k)] + [1])
+        if is_irreducible(cand):
+            return cand.coeffs
+    raise AssertionError("no irreducible polynomial")
+
+
+def test_canonical_modulus_matches_full_scan():
+    pairs = [
+        (p, k)
+        for p in range(2, 1000)
+        if is_prime(p)
+        for k in range(2, 20)
+        if p**k <= 10**6
+    ]
+    assert len(pairs) == 236
+    for p, k in pairs:
+        assert canonical_modulus(p, k) == _canonical_modulus_by_full_scan(p, k)
+
+
+def test_canonical_modulus_without_irreducible_binomials():
+    # 3 does not divide p - 1 = 33554392, so every x^3 + c is reducible; and
+    # 1019 = 3 (mod 4), so every x^4 + c is (Lidl-Niederreiter, Thm 3.75).
+    # Past the binomials, every candidate before the answer is reducible.
+    for p, k, want in ((33554393, 3, (3, 1, 0, 1)), (1019, 4, (4, 1, 0, 0, 1))):
+        assert canonical_modulus(p, k) == want
+        F = PrimeField(p)
+        for c in range(want[0]):
+            assert not is_irreducible(Poly(F, [c, 1] + [0] * (k - 2) + [1]))

@@ -3,12 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from carev import structmat
 from carev.errors import BandTooWide, FieldMismatch, ShapeMismatch
-from carev.field import ExtField, PrimeField, canonical_modulus
+from carev.field import ExtField, PrimeField, _one_reduction, canonical_modulus, coord_mul
 from carev.structmat import (
     FMatrix,
-    coord_mul,
     dot_kron,
     kron_dot,
     kron_many,
@@ -61,17 +59,20 @@ def test_matmul_matches_oracle_definition():
 
 
 def test_ext_matmul_matches_scalar_loop():
+    # GF(9), and GF(p^2) with p > 2^25: object coordinates, reduced once.
     rng = random.Random(4)
-    E = ExtField(PrimeField(3), 2, canonical_modulus(3, 2))
-    a = _rand_matrix(E, 3, 3, rng)
-    b = _rand_matrix(E, 3, 3, rng)
-    prod = a @ b
-    for i in range(3):
-        for j in range(3):
-            want = E.zero
-            for t in range(3):
-                want = E.add(want, E.mul(a.at(i, t), b.at(t, j)))
-            assert prod.at(i, j) == want
+    for p in (3, 33554467):
+        E = ExtField(PrimeField(p), 2, canonical_modulus(p, 2))
+        a = _rand_matrix(E, 3, 3, rng)
+        b = _rand_matrix(E, 3, 3, rng)
+        prod = a @ b
+        assert prod.data.dtype == (object if p > 1 << 25 else np.int64)
+        for i in range(3):
+            for j in range(3):
+                want = E.zero
+                for t in range(3):
+                    want = E.add(want, E.mul(a.at(i, t), b.at(t, j)))
+                assert prod.at(i, j) == want
 
 
 def test_kron_product_matches_numpy():
@@ -193,13 +194,15 @@ def _kron_reference(E, factors, m):
 
 
 def test_kron_dot_ext_matches_scalar_reference():
-    # Small p: the k planes are reduced once, after the last plane product.
+    # Small p in int64, and p > 2^25 in object coordinates: either way the k
+    # planes are reduced once, after the last plane product.
     rng = random.Random(12)
-    E = ExtField(PrimeField(7), 3, canonical_modulus(7, 3))
-    factors = [_rand_matrix(E, m, m, rng) for m in (3, 4)]
-    m = _rand_matrix(E, 12, 2, rng)
-    assert structmat._one_reduction(m.data.dtype, 3, 4, 7)
-    assert kron_dot(factors, m).tolists() == _kron_reference(E, factors, m)
+    for p, k in ((7, 3), (33554467, 2)):
+        E = ExtField(PrimeField(p), k, canonical_modulus(p, k))
+        factors = [_rand_matrix(E, m, m, rng) for m in (3, 4)]
+        m = _rand_matrix(E, 12, 2, rng)
+        assert _one_reduction(m.data.dtype, k, 4, p)
+        assert kron_dot(factors, m).tolists() == _kron_reference(E, factors, m)
 
 
 def test_plane_sums_past_the_int64_bound_stay_exact():
@@ -208,7 +211,7 @@ def test_plane_sums_past_the_int64_bound_stay_exact():
     # plane is needed.  x^k - 3 is irreducible (3 is a non-square, p = 1 mod 4).
     p = 33554393
     for k, m in ((64, 130), (2, 4097)):
-        assert not structmat._one_reduction(np.int64, k, m, p)
+        assert not _one_reduction(np.int64, k, m, p)
         E = ExtField(PrimeField(p), k, (p - 3,) + (0,) * (k - 1) + (1,))
         top = (p - 1,) * k
         want = E.elem([m * c for c in E.mul(top, top)])
