@@ -141,6 +141,8 @@ def _forward(rule, pattern, steps):
 
 def _evolve_common(args, run) -> int:
     rule = serialize.read_rule(args.rule)
+    if args.pgm:  # refuse before any step, so no --out file is left behind
+        serialize.check_image_axes(rule.dims)
     pattern = serialize.read_pattern(args.pattern)
     if pattern.dims != rule.dims or pattern.p != rule.p:
         raise InputError("pattern dimensions or modulus do not match the rule")
@@ -558,7 +560,7 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except NotReversible as exc:
-        print(f"error: rule is not reversible (witness: {exc})", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_IRREVERSIBLE
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

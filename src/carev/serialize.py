@@ -146,14 +146,19 @@ def write_matrix(m: FMatrix, path: str) -> None:
 # -- PGM export --------------------------------------------------------------
 
 
+def check_image_axes(dims):
+    """Refuse image export for more than three axes."""
+    if len(dims) > 3:
+        raise InputError("image export supports at most three axes")
+
+
 def pattern_to_pgms(pattern: Pattern):
     """One P2 image per slice along axis 3 (single slice for d <= 2).
 
     Gray level = state * floor(255 / (p - 1)).
     """
     dims = pattern.dims
-    if len(dims) > 3:
-        raise InputError("image export supports at most three axes")
+    check_image_axes(dims)
     p = pattern.p
     scale = 255 // (p - 1)
     cells = pattern.cells

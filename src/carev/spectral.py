@@ -438,20 +438,22 @@ def _verify_conjugation(gj: GenJordan) -> None:
     T U is one batched forward stencil step over the columns and coordinate
     planes of U; U J is built from the diagonal and eps flags that
     GenJordan.solve uses: column i + 1 of axis a gains column i where
-    eps_a[i] = 1."""
+    eps_a[i] = 1.  Rows and columns of U are both split in nested order
+    (axis 1 fastest, so last), which keeps every reshape a view."""
     rule, E = gj.rule, gj.field
     p, k, n = E.char, getattr(E, "k", 1), rule.size
     u = gj.U().data
+    nested = tuple(reversed(rule.dims))
     lo, hi = rule.band_arrays()
-    tu = kernels.evolve_step(u.reshape(rule.dims + (n, k), order="F"), rule.c, lo, hi, p)
-    cols = u.reshape((n,) + tuple(reversed(rule.dims)) + (k,))
+    tu = kernels.evolve_step(u.reshape(nested + (n, k)), rule.c, lo[::-1], hi[::-1], p)
+    cols = u.reshape((n,) + nested + (k,))
     uj = coord_mul(E, gj._diag, cols)
     for a, eps in enumerate(gj.axis_eps):
         src, dst = [slice(None)] * cols.ndim, [slice(None)] * cols.ndim
         src[rule.d - a] = np.flatnonzero(eps)
         dst[rule.d - a] = src[rule.d - a] + 1
         uj[tuple(dst)] += cols[tuple(src)]
-    if not np.array_equal(tu.reshape((n, n, k), order="F").reshape(cols.shape), uj % p):
+    if not np.array_equal(tu.reshape(cols.shape), uj % p):
         raise InternalVerificationFailed("full conjugation check failed")
 
 

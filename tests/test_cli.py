@@ -78,6 +78,17 @@ def test_invert_irreversible_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reverse_irreversible_names_the_witness_once(tmp_path, capsys):
+    rule = _write_rule(tmp_path, p=3)
+    pattern = _write_pattern(tmp_path, "3 2 2 2 3\n1 2\n0 1\n2 2\n1 0\n")
+    out = tmp_path / "out.txt"
+    assert main(["reverse", rule, pattern, "--steps", "1", "--out", str(out)]) == 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: rule is not reversible; zero eigenvalue witness (")
+    assert err.count("not reversible") == 1 and err.count("witness") == 1
+    assert not out.exists()
+
+
 def test_evolve_zero_steps_is_canonical_identity(tmp_path):
     rule = _write_rule(tmp_path, p=5, dims=(2, 2))
     pattern = _write_pattern(tmp_path, "2 2 2 5\n1 2\n3 4\n")
@@ -172,6 +183,25 @@ def test_evolve_writes_pgm(tmp_path):
     )
     assert (tmp_path / "img_slice0.pgm").exists()
     assert (tmp_path / "img_slice1.pgm").exists()
+
+
+def test_pgm_past_three_axes_writes_nothing(tmp_path, capsys):
+    # Reversible (c = 1 over GF(5)), so only the image export can refuse it.
+    dims = (3, 3, 3, 3)
+    rule = tmp_path / "rule.json"
+    rule.write_text(json.dumps({
+        "p": 5, "dims": list(dims), "c": 1, "eta": 1,
+        "axes": [{"ell": [1], "r": [1]} for _ in dims],
+    }))
+    pattern = _write_random_pattern(tmp_path, 5, dims, seed=3)
+    for command in ("evolve", "reverse"):
+        out = tmp_path / f"{command}.txt"
+        argv = [command, str(rule), pattern, "--steps", "1", "--out", str(out),
+                "--pgm", str(tmp_path / "img")]
+        assert main(argv) == 2
+        assert "at most three axes" in capsys.readouterr().err
+        assert not out.exists()
+    assert not list(tmp_path.glob("img*"))
 
 
 def test_roots_and_jordan_reports(tmp_path, capsys):

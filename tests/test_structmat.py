@@ -205,6 +205,44 @@ def test_kron_dot_ext_matches_scalar_reference():
         assert kron_dot(factors, m).tolists() == _kron_reference(E, factors, m)
 
 
+def _kron_dot_cases():
+    """(field, factors, block) inputs for each branch of the float64 schedule."""
+    rng = np.random.default_rng(16)
+
+    def ext(p, k):
+        return ExtField(PrimeField(p), k, canonical_modulus(p, k))
+
+    def rand(E, shape):
+        return FMatrix(E, rng.integers(0, E.char, shape + (getattr(E, "k", 1),)))
+
+    # GF(17^12) with entries in [p/2, p): the bound passes 2^53 after two
+    # axes, so the block is reduced before the third; without that reduction
+    # the fourth axis sums past 2^53.  (Entries all p - 1 = 2^4 would keep
+    # every sum a multiple of a power of two that float64 holds exactly.)
+    E = ext(17, 12)
+    yield E, [FMatrix(E, rng.integers(8, 17, (4, 4, 12))) for _ in range(4)], \
+        FMatrix(E, rng.integers(8, 17, (256, 2, 12)))
+    # A lifted base-field block: k - 1 of its planes are zero.
+    E = ext(13, 3)
+    base = FMatrix.from_int_array(PrimeField(13), rng.integers(0, 13, (30, 4)))
+    yield E, [rand(E, (n, n)) for n in (2, 3, 5)], base.lift(E)
+    # A factor whose two middle coordinate planes are zero.
+    E = ext(7, 4)
+    holey = rand(E, (3, 3)).data.copy()
+    holey[:, :, 1:3] = 0
+    yield E, [FMatrix(E, holey), rand(E, (4, 4))], rand(E, (12, 3))
+    # GF(p), k = 1.
+    F = PrimeField(11)
+    yield F, [rand(F, (n, n)) for n in (3, 2, 4)], rand(F, (24, 2))
+
+
+def test_kron_dot_float_schedule_matches_kron_many():
+    for E, factors, m in _kron_dot_cases():
+        got = kron_dot(factors, m)
+        assert got.field == E and got.data.dtype == np.int64
+        assert got == kron_many(factors) @ m
+
+
 def test_plane_sums_past_the_int64_bound_stay_exact():
     # p < 2^25 keeps int64 storage, but with every coordinate p - 1 the middle
     # convolution plane sums k * m * (p - 1)^2 >= 2^63: one reduction per
