@@ -4,13 +4,7 @@ linear cellular automata over Z_p under null boundary conditions."""
 from .ca import Pattern, RuleSpec, build_T, evolve_local, evolve_matrix, theta, theta_inv
 from .errors import CarevError, NotReversible
 from .field import ExtField, Poly, PrimeField, roots_with_multiplicity, splitting_field
-from .spectral import (
-    GenJordan,
-    generalized_jordan,
-    invert_T,
-    is_reversible,
-    reversibility,
-)
+from .spectral import GenJordan, generalized_jordan, invert_T, reversibility
 from .structmat import FMatrix, kron_product, kron_sum, toeplitz
 
 __version__ = "0.1.0"
@@ -30,7 +24,6 @@ __all__ = [
     "evolve_matrix",
     "generalized_jordan",
     "invert_T",
-    "is_reversible",
     "kron_product",
     "kron_sum",
     "reversibility",

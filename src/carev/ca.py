@@ -114,17 +114,34 @@ class RuleSpec:
         if missing:
             raise InputError(f"missing rule keys: {sorted(missing)}")
         axes = []
-        for i, ax in enumerate(obj["axes"]):
+        for i, ax in enumerate(_json_list(obj["axes"], "'axes'")):
             if not isinstance(ax, dict) or set(ax) != {"ell", "r"}:
                 raise InputError(f"axis {i} must be an object with keys 'ell' and 'r'")
-            axes.append((tuple(ax["ell"]), tuple(ax["r"])))
+            axes.append(tuple(_json_ints(ax[side], f"axis {i} {side!r}") for side in ("ell", "r")))
         return cls(
-            p=int(obj["p"]),
-            dims=tuple(obj["dims"]),
-            c=int(obj["c"]),
+            p=_json_int(obj["p"], "'p'"),
+            dims=_json_ints(obj["dims"], "'dims'"),
+            c=_json_int(obj["c"], "'c'"),
             axes=tuple(axes),
-            eta=int(obj["eta"]),
+            eta=_json_int(obj["eta"], "'eta'"),
         )
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"rule {what} must be a JSON array, got {value!r}")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer: not a bool, float, string or null."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"rule {what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_ints(value, what: str) -> tuple:
+    return tuple(_json_int(v, f"{what} entry") for v in _json_list(value, what))
 
 
 class Pattern:

@@ -453,6 +453,8 @@ def bench_case(p: int, dims, repeats: int = 5, baseline_cap: int = 4096):
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise InputError(f"--repeats must be >= 1, got {args.repeats}")
     dims_list = [_parse_dims(t) for t in args.dims] or [(12, 12, 12)]
     rows = []
     for dims in dims_list:

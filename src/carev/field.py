@@ -896,8 +896,10 @@ def factor_irreducible(f: Poly):
     return out
 
 
-def splitting_field(polys, verify: bool = True):
-    """Smallest GF(p^K) over which every input splits into linear factors."""
+def splitting_field(polys):
+    """Smallest GF(p^K) over which every input splits into linear factors,
+    from the degrees of their irreducible factors; roots_with_multiplicity
+    finds the roots there."""
     polys = list(polys)
     if not polys:
         raise InputError("need at least one polynomial")
@@ -916,18 +918,12 @@ def splitting_field(polys, verify: bool = True):
         for d, _ in factor_distinct_degree(g):
             K = math.lcm(K, d)
     if K == 1:
-        E = base
-    else:
-        if K > MAX_EXT_DEGREE:
-            raise UnsupportedRange(
-                f"splitting field degree {K} exceeds the supported cap ({MAX_EXT_DEGREE})"
-            )
-        E = ExtField(base, K, canonical_modulus(base.p, K))
-    if verify:
-        for f in polys:
-            if f.degree > 0:
-                roots_with_multiplicity(f, E)
-    return E
+        return base
+    if K > MAX_EXT_DEGREE:
+        raise UnsupportedRange(
+            f"splitting field degree {K} exceeds the supported cap ({MAX_EXT_DEGREE})"
+        )
+    return ExtField(base, K, canonical_modulus(base.p, K))
 
 
 def _root_of_linear(g: Poly):

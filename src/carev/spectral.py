@@ -24,12 +24,13 @@ nilpotent block with a scaled unit-vector basis, and ell = r = 0 gives
 S = cI.  Wider bands use elimination (jordan_axis).  Every axis basis is
 checked exactly (S U = U J and U^-1 U = I), and up to _FULL_CHECK_CAP cells
 so is the full conjugation T U = U J: T U by one batched forward stencil
-step over the columns of U, U J from the Jordan diagonal and eps flags.
+step over the columns of U.  J is kept only as per-axis layouts: its
+diagonal is _nested_sums, the array whose zeros decide reversibility, and
+its nilpotent part is _chain_links.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,7 +56,7 @@ from .field import (
     splitting_field,
 )
 from .oracle import SpanTracker
-from .structmat import MATRIX_SIZE_CAP, FMatrix, kron_dot, kron_many, kron_sum
+from .structmat import MATRIX_SIZE_CAP, FMatrix, kron_dot, kron_many
 
 # The full conjugation check T U = U J holds the dense N x N matrix U (N^2 k
 # coordinates) in memory, so it runs only up to this many cells; its time is
@@ -72,12 +73,6 @@ class AxisSpectrum:
     axis: int
     poly: Poly  # over GF(p)
     roots: tuple  # ((element of E, multiplicity), ...) canonically ordered
-
-    def expanded(self):
-        out = []
-        for lam, mult in self.roots:
-            out.extend([lam] * mult)
-        return out
 
 
 def axis_char_poly(rule: RuleSpec, axis: int) -> Poly:
@@ -96,7 +91,7 @@ def axis_char_poly(rule: RuleSpec, axis: int) -> Poly:
 def axis_spectra(rule: RuleSpec):
     """Shared splitting field and per-axis root multisets."""
     polys = [axis_char_poly(rule, a) for a in range(rule.d)]
-    E = splitting_field(polys, verify=False)
+    E = splitting_field(polys)
     spectra = []
     cache = {}  # identical axes share one root computation
     for a, f in enumerate(polys):
@@ -108,42 +103,21 @@ def axis_spectra(rule: RuleSpec):
     return E, spectra
 
 
-def eigenvalue_multiset(E, spectra) -> Counter:
-    """All sums of per-axis eigenvalues, with product multiplicities."""
-    acc = Counter({E.zero: 1})
-    for spec in spectra:
-        nxt = Counter()
-        for lam, mult in spec.roots:
-            for s, m in acc.items():
-                nxt[E.add(s, lam)] += m * mult
-        acc = nxt
+def _expand(pairs):
+    """Each value of ((value, count), ...) repeated count times: a root list
+    with multiplicity, or the diagonal of J from a layout."""
+    return [v for v, count in pairs for _ in range(count)]
+
+
+def _nested_sums(E, values):
+    """All sums of one value per axis, values[a] listing axis a + 1's
+    elements: int64 coordinates shaped (n_d, ..., n_1, k), so that axis 1
+    varies fastest, as in the nested order of T."""
+    acc = np.zeros((1,) * len(values) + (E.k,), dtype=np.int64)
+    for a, vals in enumerate(values):
+        arr = np.array([E.coeff_vector(v) for v in vals], dtype=np.int64)
+        acc = (acc + arr.reshape((-1,) + (1,) * a + (E.k,))) % E.char
     return acc
-
-
-def _minkowski_zero(E, spectra):
-    """First all-zero eigenvalue sum in nested order (axis d outermost), or
-    None.  Returns the witness as (lambda_1, ..., lambda_d)."""
-    p = E.char
-    k = getattr(E, "k", 1)
-    expanded = [spec.expanded() for spec in spectra]
-    arrays = [
-        np.array([E.coeff_vector(v) for v in vals], dtype=np.int64).reshape(-1, k)
-        for vals in expanded
-    ]
-    acc = arrays[-1]
-    for arr in reversed(arrays[:-1]):
-        acc = (acc[:, None, :] + arr[None, :, :]).reshape(-1, k) % p
-    zero_rows = np.nonzero(~acc.any(axis=1))[0]
-    if zero_rows.size == 0:
-        return None
-    idx = int(zero_rows[0])
-    # Mixed-radix decode, axis d most significant.
-    sizes = [len(v) for v in expanded]
-    combo = [0] * len(sizes)
-    for a in range(len(sizes)):  # axis 1 varies fastest
-        combo[a] = idx % sizes[a]
-        idx //= sizes[a]
-    return tuple(expanded[a][combo[a]] for a in range(len(sizes)))
 
 
 @dataclass(frozen=True)
@@ -155,15 +129,16 @@ class Reversibility:
 
 
 def reversibility(rule: RuleSpec) -> Reversibility:
+    """T is singular iff some sum of one eigenvalue per axis is zero; the
+    witness is the first such sum in nested order (axis d outermost), as
+    (lambda_1, ..., lambda_d)."""
     E, spectra = axis_spectra(rule)
-    witness = _minkowski_zero(E, spectra)
+    expanded = [_expand(spec.roots) for spec in spectra]
+    zeros = np.argwhere(~_nested_sums(E, expanded).any(axis=-1))
+    witness = None
+    if zeros.size:
+        witness = tuple(vals[i] for vals, i in zip(expanded, zeros[0][::-1]))
     return Reversibility(witness is None, witness, E, tuple(spectra))
-
-
-def is_reversible(rule: RuleSpec):
-    """Decision plus a zero-sum witness when irreversible."""
-    rep = reversibility(rule)
-    return rep.reversible, rep.witness
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +152,40 @@ def _matvec(m: FMatrix, v):
     return tuple(res.at(i, 0) for i in range(res.rows))
 
 
-def _jordan_form(E, layout):
-    """(J, eps) for a layout ((eigenvalue, block size), ...); eps are the
-    superdiagonal 0/1 flags, 1 inside a block and 0 between blocks."""
-    n = sum(size for _, size in layout)
-    eps = tuple(int(t + 1 < size) for _, size in layout for t in range(size))[:-1]
-    data = np.zeros((n, n, getattr(E, "k", 1)), dtype=np.int64)
-    data[range(n), range(n)] = [E.coeff_vector(lam) for lam, size in layout for _ in range(size)]
-    data[range(n - 1), range(1, n), 0] = eps
-    return FMatrix(E, data), eps
+def _layout_eps(layout):
+    """Superdiagonal 0/1 flags of the Jordan form with this ((eigenvalue,
+    block size), ...) layout: 1 inside a block, 0 between blocks."""
+    return tuple(int(t + 1 < size) for _, size in layout for t in range(size))[:-1]
+
+
+def _chain_links(out, src, eps_by_axis, lead, up):
+    """Add the nilpotent part N of a nested Jordan form to out, in place.
+
+    The cells of src sit in nested order (axis 1 last) after `lead` leading
+    axes.  With up, this is N src: entry i of axis a gains entry i + 1 where
+    eps_a[i] = 1.  Otherwise it is src N, read along the cell axes: entry
+    i + 1 gains entry i."""
+    d = len(eps_by_axis)
+    for a, eps in enumerate(eps_by_axis):
+        lo, hi = [slice(None)] * src.ndim, [slice(None)] * src.ndim
+        lo[lead + d - 1 - a] = np.flatnonzero(eps)
+        hi[lead + d - 1 - a] = lo[lead + d - 1 - a] + 1
+        dst, frm = (lo, hi) if up else (hi, lo)
+        out[tuple(dst)] += src[tuple(frm)]
+    return out
 
 
 def _checked_axis(s_mat: FMatrix, E, u: FMatrix, u_inv: FMatrix, layout):
-    """(U, U_inv, J, eps, layout) once S U = U J and U_inv U = I hold exactly."""
-    j, eps = _jordan_form(E, layout)
-    if s_mat.lift(E) @ u != u @ j:
+    """(U, U_inv, layout) once S U = U J and U_inv U = I hold exactly; U J is
+    U D plus the chain links, with no J formed."""
+    layout = tuple(layout)
+    uj = coord_mul(E, _nested_sums(E, [_expand(layout)]), u.data)
+    _chain_links(uj, u.data, (_layout_eps(layout),), 1, up=False)
+    if s_mat.lift(E) @ u != FMatrix(E, uj):
         raise InternalVerificationFailed("axis conjugation check failed")
     if u_inv @ u != FMatrix.identity(E, u.rows):
         raise InternalVerificationFailed("axis inverse check failed")
-    return u, u_inv, j, eps, tuple(layout)
+    return u, u_inv, layout
 
 
 def jordan_axis(s_mat: FMatrix, E, roots=None):
@@ -203,9 +193,9 @@ def jordan_axis(s_mat: FMatrix, E, roots=None):
 
     roots are the ((eigenvalue, multiplicity), ...) of the block in E; when
     omitted they are found from its characteristic polynomial, which raises
-    DoesNotSplit unless E splits it.  Returns (U, U_inv, J, eps, layout) with
-    S U = U J and U_inv U = I verified exactly; eps are the superdiagonal 0/1
-    flags and layout lists (eigenvalue, block size) in order.
+    DoesNotSplit unless E splits it.  Returns (U, U_inv, layout) with
+    S U = U J and U_inv U = I verified exactly, where layout lists the
+    Jordan blocks of J as (eigenvalue, block size) in order.
     """
     base = s_mat.field
     if roots is None:
@@ -321,10 +311,15 @@ class GenJordan:
     field: object
     axis_U: tuple  # FMatrix per axis, axis 1 first
     axis_U_inv: tuple
-    axis_J: tuple
-    axis_eps: tuple
     axis_layout: tuple  # per axis: ((eigenvalue, block size), ...)
-    axis_diagonalizable: tuple
+
+    @cached_property
+    def axis_eps(self) -> tuple:
+        return tuple(_layout_eps(layout) for layout in self.axis_layout)
+
+    @property
+    def axis_diagonalizable(self) -> tuple:
+        return tuple(all(size == 1 for _, size in layout) for layout in self.axis_layout)
 
     @property
     def diagonalizable(self) -> bool:
@@ -332,12 +327,6 @@ class GenJordan:
 
     def U(self) -> FMatrix:
         return kron_many(list(reversed(self.axis_U)))
-
-    def J(self) -> FMatrix:
-        j = self.axis_J[0]
-        for jk in self.axis_J[1:]:
-            j = kron_sum(j, jk)
-        return j
 
     def diagonal(self):
         """Eigenvalues along the diagonal of J, in nested order."""
@@ -348,14 +337,8 @@ class GenJordan:
     def _diag(self):
         """Coordinates of the diagonal D of J, shaped (n_d, ..., n_1, k) so
         that axis 1 varies fastest, as in the nested order."""
-        E = self.field
-        k = getattr(E, "k", 1)
-        diag = np.zeros((1,) * self.rule.d + (k,), dtype=self.axis_U[0].data.dtype)
-        for a, layout in enumerate(self.axis_layout):
-            vals = [E.coeff_vector(lam) for lam, size in layout for _ in range(size)]
-            vals = np.array(vals, dtype=diag.dtype).reshape((-1,) + (1,) * a + (k,))
-            diag = (diag + vals) % E.char
-        return diag
+        diag = _nested_sums(self.field, [_expand(layout) for layout in self.axis_layout])
+        return diag.astype(_dtype_for(self.field), copy=False)
 
     @cached_property
     def _diag_inv(self):
@@ -379,27 +362,18 @@ class GenJordan:
         rounds of y <- D^-1 (x - N y) is exact; a diagonalizable J needs only
         the elementwise division."""
         E = self.field
-        d = self.rule.d
         xs = x.data.reshape(tuple(reversed(self.rule.dims)) + x.data.shape[1:])
         dinv = self._diag_inv[..., None, :]
         y = coord_mul(E, dinv, xs)
         rounds = sum(max(size for _, size in layout) - 1 for layout in self.axis_layout)
         for _ in range(rounds):
-            ny = np.zeros_like(y)  # N y: entry i of axis a gains i + 1 where eps_a[i] = 1
-            for a, eps in enumerate(self.axis_eps):
-                at, nxt = [slice(None)] * y.ndim, [slice(None)] * y.ndim
-                at[d - 1 - a] = np.flatnonzero(eps)
-                nxt[d - 1 - a] = at[d - 1 - a] + 1
-                ny[tuple(at)] += y[tuple(nxt)]
+            ny = _chain_links(np.zeros_like(y), y, self.axis_eps, 0, up=True)
             y = coord_mul(E, dinv, (xs - ny) % E.char)
         return FMatrix(E, y.reshape(x.data.shape))
 
 
 def generalized_jordan(rule: RuleSpec, rep: Reversibility | None = None) -> GenJordan:
-    if rep is None:
-        E, spectra = axis_spectra(rule)
-    else:
-        E, spectra = rep.field, rep.spectra
+    E, spectra = axis_spectra(rule) if rep is None else (rep.field, rep.spectra)
     per_axis = []
     cache = {}  # identical axes share one Jordan computation
     for a in range(rule.d):
@@ -416,17 +390,8 @@ def generalized_jordan(rule: RuleSpec, rep: Reversibility | None = None) -> GenJ
             else:
                 cache[key] = jordan_axis(s_mat, E, roots=roots)
         per_axis.append(cache[key])
-    us, uinvs, js, epss, layouts = zip(*per_axis)
-    gj = GenJordan(
-        rule=rule,
-        field=E,
-        axis_U=us,
-        axis_U_inv=uinvs,
-        axis_J=js,
-        axis_eps=epss,
-        axis_layout=tuple(tuple(layout) for layout in layouts),
-        axis_diagonalizable=tuple(all(s == 1 for _, s in layout) for layout in layouts),
-    )
+    us, uinvs, layouts = zip(*per_axis)
+    gj = GenJordan(rule=rule, field=E, axis_U=us, axis_U_inv=uinvs, axis_layout=layouts)
     if rule.size <= _FULL_CHECK_CAP:
         _verify_conjugation(gj)
     return gj
@@ -436,10 +401,10 @@ def _verify_conjugation(gj: GenJordan) -> None:
     """Raise InternalVerificationFailed unless T U = U J exactly.
 
     T U is one batched forward stencil step over the columns and coordinate
-    planes of U; U J is built from the diagonal and eps flags that
-    GenJordan.solve uses: column i + 1 of axis a gains column i where
-    eps_a[i] = 1.  Rows and columns of U are both split in nested order
-    (axis 1 fastest, so last), which keeps every reshape a view."""
+    planes of U; U J is U D plus the chain links, from the same diagonal and
+    eps flags that GenJordan.solve uses.  Rows and columns of U are both
+    split in nested order (axis 1 fastest, so last), which keeps every
+    reshape a view."""
     rule, E = gj.rule, gj.field
     p, k, n = E.char, getattr(E, "k", 1), rule.size
     u = gj.U().data
@@ -447,12 +412,7 @@ def _verify_conjugation(gj: GenJordan) -> None:
     lo, hi = rule.band_arrays()
     tu = kernels.evolve_step(u.reshape(nested + (n, k)), rule.c, lo[::-1], hi[::-1], p)
     cols = u.reshape((n,) + nested + (k,))
-    uj = coord_mul(E, gj._diag, cols)
-    for a, eps in enumerate(gj.axis_eps):
-        src, dst = [slice(None)] * cols.ndim, [slice(None)] * cols.ndim
-        src[rule.d - a] = np.flatnonzero(eps)
-        dst[rule.d - a] = src[rule.d - a] + 1
-        uj[tuple(dst)] += cols[tuple(src)]
+    uj = _chain_links(coord_mul(E, gj._diag, cols), cols, gj.axis_eps, 1, up=False)
     if not np.array_equal(tu.reshape(cols.shape), uj % p):
         raise InternalVerificationFailed("full conjugation check failed")
 

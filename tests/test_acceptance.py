@@ -23,6 +23,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import sympy
+from jordan_reference import eigenvalue_multiset
 
 from carev import kernels, oracle
 from carev.ca import (
@@ -37,7 +38,7 @@ from carev.ca import (
 from carev.charpoly import eval_g_float, g_poly, gcd_degree_report
 from carev.cli import _ex_demo_images
 from carev.field import PrimeField
-from carev.spectral import eigenvalue_multiset, invert_T, reversibility
+from carev.spectral import invert_T, reversibility
 from carev.structmat import FMatrix
 
 

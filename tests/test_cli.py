@@ -7,6 +7,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import carev
 from carev import serialize
@@ -60,6 +61,24 @@ def test_check_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert main(["check", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dims", 4), ("p", "x"), ("ell", ["a"]), ("axes", 7), ("ell", 1), ("c", None),
+    ("p", float("inf")), ("dims", [4.5]), ("ell", [1.7]),
+])
+def test_check_rejects_malformed_rule_json(tmp_path, capsys, key, value):
+    # A wrong JSON type is bad input (exit 2), never a traceback or a
+    # silently truncated float.
+    rule = json.loads(Path(_write_rule(tmp_path, dims=(4,))).read_text())
+    if key in ("ell", "r"):
+        rule["axes"][0][key] = value
+    else:
+        rule[key] = value
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(rule))  # inf is written as Infinity
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_invert_writes_verified_matrix(tmp_path, capsys):
@@ -214,6 +233,22 @@ def test_roots_and_jordan_reports(tmp_path, capsys):
     assert len(report["diagonal"]) == 64
 
 
+def test_jordan_report_of_a_defective_rule(tmp_path, capsys):
+    # The length-4 unit band over GF(5) has eigenvalues 2 and 3, each with
+    # one size-2 Jordan block.
+    rule = _write_rule(tmp_path, p=5, dims=(4,))
+    assert main(["jordan", rule]) == 0
+    report = json.loads(capsys.readouterr().out)
+    (axis,) = report["axes"]
+    assert axis["blocks"] == [
+        {"eigenvalue": {"render": "2", "coeffs": [2]}, "size": 2},
+        {"eigenvalue": {"render": "3", "coeffs": [3]}, "size": 2},
+    ]
+    assert axis["eps"] == [1, 0, 1]
+    assert axis["diagonalizable"] is False
+    assert report["diagonalizable"] is False
+
+
 def test_paper_examples_all_pass(capsys):
     assert main(["paper-examples"]) == 0
     out = capsys.readouterr().out
@@ -300,3 +335,8 @@ def test_bench_csv(tmp_path, capsys):
 
 def test_bench_bad_dims(capsys):
     assert main(["bench", "--dims", "banana"]) == 2
+
+
+def test_bench_rejects_zero_repeats(capsys):
+    assert main(["bench", "--dims", "2,2", "--repeats", "0"]) == 2
+    assert "--repeats" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter
 
 import pytest
+from jordan_reference import axis_J, eigenvalue_multiset, nested_J
 
 from carev import oracle
 from carev.ca import RuleSpec, axis_matrix, build_T
@@ -14,10 +16,8 @@ from carev.spectral import (
     apply_inverse,
     axis_char_poly,
     axis_spectra,
-    eigenvalue_multiset,
     generalized_jordan,
     invert_T,
-    is_reversible,
     jordan_axis,
     reversibility,
     tridiagonal_jordan,
@@ -88,15 +88,49 @@ def test_decision_matches_oracle_det():
     rng = random.Random(65)
     for _ in range(60):
         rule = _random_rule(rng)
-        ok, witness = is_reversible(rule)
-        assert ok == (oracle.det(build_T(rule)) != 0)
-        if not ok:
-            assert witness is not None
-            E = reversibility(rule).field
+        rep = reversibility(rule)
+        assert rep.reversible == (oracle.det(build_T(rule)) != 0)
+        if not rep.reversible:
+            assert rep.witness is not None
+            E = rep.field
             total = E.zero
-            for w in witness:
+            for w in rep.witness:
                 total = E.add(total, w)
             assert total == E.zero
+
+
+def _first_zero_sum(E, spectra):
+    """Brute force: the first tuple of one eigenvalue per axis, axis d
+    outermost and axis 1 fastest, whose sum is zero."""
+    per_axis = [[lam for lam, mult in spec.roots for _ in range(mult)] for spec in spectra]
+    for combo in itertools.product(*reversed(per_axis)):
+        total = E.zero
+        for lam in combo:
+            total = E.add(total, lam)
+        if total == E.zero:
+            return tuple(reversed(combo))
+    return None
+
+
+def test_witness_is_the_first_zero_sum_in_nested_order():
+    rng = random.Random(79)
+    rules = [
+        # p > 2^25: axis 1 (unit bands, c = -1) has eigenvalues -2 and 0,
+        # axis 2 (zero bands) has 0 three times, so three sums are zero.
+        RuleSpec(p=33554467, dims=(2, 3), c=33554466, eta=1,
+                 axes=(((1,), (1,)), ((0,), (0,)))),
+    ]
+    seen = Counter()
+    while len(rules) < 16:
+        rule = _random_rule(rng, primes=(2, 3, 5, 7))
+        rep = reversibility(rule)
+        if not rep.reversible:
+            rules.append(rule)
+            seen.update({"K>1": getattr(rep.field, "k", 1) > 1, "eta2": rule.eta == 2})
+    for rule in rules:
+        rep = reversibility(rule)
+        assert rep.witness == _first_zero_sum(rep.field, rep.spectra)
+    assert seen["K>1"] and seen["eta2"], seen
 
 
 def test_invert_T_matches_oracle_inverse():
@@ -134,7 +168,8 @@ def test_jordan_axis_conjugation_random():
         gj = generalized_jordan(rule, rep)
         # Per-axis conjugation is re-verified here via the returned factors.
         for a in range(rule.d):
-            u, u_inv, j = gj.axis_U[a], gj.axis_U_inv[a], gj.axis_J[a]
+            u, u_inv = gj.axis_U[a], gj.axis_U_inv[a]
+            j = axis_J(gj.field, gj.axis_layout[a])
             s = axis_matrix(rule, a)
             if a == 0 and rule.c:
                 s = s + FMatrix.identity(rule.field, rule.dims[0]).scale(rule.c)
@@ -153,7 +188,7 @@ def test_jordan_axis_rejects_non_splitting_field():
     # The same block with its roots in GF(9) passes the exact checks.
     rule = RuleSpec(p=3, dims=(4,), c=0, eta=1, axes=(((1,), (1,)),))
     E, spectra = axis_spectra(rule)
-    assert jordan_axis(s, E, roots=spectra[0].roots)[4] == spectra[0].roots
+    assert jordan_axis(s, E, roots=spectra[0].roots)[2] == spectra[0].roots
 
 
 def _random_block(rng, rule, m):
@@ -188,7 +223,7 @@ def test_apply_inverse_matches_oracle_inverse():
              "K>1": big, "defective K>1": big and not gj.diagonalizable}
         )
         ident = FMatrix.identity(E, rule.size)
-        assert gj.J() @ gj.solve(ident) == ident
+        assert nested_J(gj) @ gj.solve(ident) == ident
         t_inv = oracle.inverse(build_T(rule))
         x = _random_block(rng, rule, 3)
         assert apply_inverse(rule, x, gj) == t_inv @ x
@@ -226,12 +261,12 @@ def test_tridiagonal_jordan_matches_jordan_axis():
         s = axis_matrix(rule, 0)
         if c:
             s = s + FMatrix.identity(rule.field, n).scale(c)
-        u, u_inv, j, eps, layout = tridiagonal_jordan(s, E, ell, r, c, spectra[0].roots)
-        _, _, want_j, want_eps, want_layout = jordan_axis(s, E)
-        assert (layout, eps, j) == (tuple(want_layout), want_eps, want_j)
-        assert s.lift(E) @ u == u @ j
+        u, u_inv, layout = tridiagonal_jordan(s, E, ell, r, c, spectra[0].roots)
+        assert layout == tuple(jordan_axis(s, E)[2])
+        assert s.lift(E) @ u == u @ axis_J(E, layout)
         assert u_inv @ u == FMatrix.identity(E, n)
-        seen.update({"defective": any(eps), "K>1": getattr(E, "k", 1) > 1, "c": c != 0,
+        defective = any(size > 1 for _, size in layout)
+        seen.update({"defective": defective, "K>1": getattr(E, "k", 1) > 1, "c": c != 0,
                      "object": u.data.dtype == object, "one-sided": (ell == 0) != (r == 0),
                      "zero": ell == r == 0})
     assert all(seen[key] for key in ("defective", "K>1", "c", "object", "one-sided", "zero")), seen
@@ -241,7 +276,7 @@ def test_axis_checks_reject_a_wrong_basis_or_inverse():
     rule = RuleSpec(p=7, dims=(6,), c=0, eta=1, axes=(((1,), (1,)),))
     E, spectra = axis_spectra(rule)
     s = axis_matrix(rule, 0)
-    u, u_inv, _, _, layout = tridiagonal_jordan(s, E, 1, 1, 0, spectra[0].roots)
+    u, u_inv, layout = tridiagonal_jordan(s, E, 1, 1, 0, spectra[0].roots)
     for bad_u, bad_inv in ((u.scale(2), u_inv), (u, u_inv.scale(2))):
         with pytest.raises(InternalVerificationFailed):
             _checked_axis(s, E, bad_u, bad_inv, layout)
@@ -256,15 +291,19 @@ def test_full_conjugation_check_rejects_tampering():
     u = gj.axis_U[1].data.copy()
     u[0, 0, 0] = (u[0, 0, 0] + 1) % rule.p
     bad = [dataclasses.replace(gj, axis_U=(gj.axis_U[0], FMatrix(gj.field, u), gj.axis_U[2]))]
+    layouts = list(gj.axis_layout)
     for a in (0, 2):
-        eps = list(gj.axis_eps[a])
-        eps[eps.index(1)] = 0
+        # Split the first block of size s > 1 into sizes s - 1 and 1: the
+        # diagonal stays, one eps flag drops.
+        b = next(i for i, (_, size) in enumerate(layouts[a]) if size > 1)
+        lam, size = layouts[a][b]
+        split = layouts[a][:b] + ((lam, size - 1), (lam, 1)) + layouts[a][b + 1:]
         bad.append(dataclasses.replace(
-            gj, axis_eps=gj.axis_eps[:a] + (tuple(eps),) + gj.axis_eps[a + 1:]))
-    layout = gj.axis_layout[1]
+            gj, axis_layout=tuple(layouts[:a] + [split] + layouts[a + 1:])))
+    layout = layouts[1]
     assert layout[0][0] != layout[1][0]
     bad.append(dataclasses.replace(
-        gj, axis_layout=(gj.axis_layout[0], (layout[1], layout[0]) + layout[2:], gj.axis_layout[2])))
+        gj, axis_layout=(layouts[0], (layout[1], layout[0]) + layout[2:], layouts[2])))
     for tampered in bad:
         with pytest.raises(InternalVerificationFailed):
             _verify_conjugation(tampered)
