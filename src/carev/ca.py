@@ -200,11 +200,11 @@ def axis_matrix(rule: RuleSpec, axis: int) -> FMatrix:
     return toeplitz(rule.field, rule.dims[axis], ell, r)
 
 
-def build_T(rule: RuleSpec, size_cap: int = MATRIX_SIZE_CAP) -> FMatrix:
+def build_T(rule: RuleSpec) -> FMatrix:
     """Dense transition matrix via the nested Kronecker-sum recursion."""
-    if rule.size > size_cap:
+    if rule.size > MATRIX_SIZE_CAP:
         raise SizeCapExceeded(
-            f"transition matrix of size {rule.size} exceeds the cap {size_cap}"
+            f"transition matrix of size {rule.size} exceeds the cap {MATRIX_SIZE_CAP}"
         )
     field = rule.field
     t = axis_matrix(rule, 0)

@@ -40,7 +40,7 @@ from .spectral import (
     invert_T,
     reversibility,
 )
-from .structmat import FMatrix
+from .structmat import MATRIX_SIZE_CAP, FMatrix
 
 EXIT_OK = 0
 EXIT_IRREVERSIBLE = 10
@@ -437,17 +437,17 @@ def _median_time(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
-def bench_case(p: int, dims, repeats: int = 5, baseline_cap: int = 4096):
+def bench_case(p: int, dims, repeats: int = 5):
     """One benchmark row.  The structured check never materializes the full
-    transition matrix; the dense side runs elimination on the N x N matrix.
-    Returns (N, t_structured, t_dense or None)."""
+    transition matrix; the dense side runs elimination on the N x N matrix,
+    for N up to MATRIX_SIZE_CAP.  Returns (N, t_structured, t_dense or None)."""
     rule = _all_ones_rule(p, dims)
     n = rule.size
     reversibility(rule)  # warm field/modulus caches outside the timed region
     t_structured = _median_time(lambda: reversibility(rule), repeats)
     t_dense = None
-    if n <= baseline_cap:
-        mat = build_T(rule, size_cap=baseline_cap).int_matrix()
+    if n <= MATRIX_SIZE_CAP:
+        mat = build_T(rule).int_matrix()
         t_dense = _median_time(lambda: kernels.det_mod(mat, p), repeats)
     return n, t_structured, t_dense
 
@@ -458,9 +458,7 @@ def cmd_bench(args) -> int:
     dims_list = [_parse_dims(t) for t in args.dims] or [(12, 12, 12)]
     rows = []
     for dims in dims_list:
-        n, t_s, t_d = bench_case(
-            args.p, dims, repeats=args.repeats, baseline_cap=args.baseline_cap
-        )
+        n, t_s, t_d = bench_case(args.p, dims, repeats=args.repeats)
         ratio = "" if t_d is None else f"{t_d / t_s:.2f}"
         rows.append((n, f"{t_s:.6f}", "" if t_d is None else f"{t_d:.6f}", ratio))
     buf = io.StringIO()
@@ -543,12 +541,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--p", type=int, default=5)
     sp.add_argument("--repeats", type=int, default=5)
-    sp.add_argument(
-        "--baseline-cap",
-        type=int,
-        default=4096,
-        help="skip the dense baseline above this matrix size",
-    )
     sp.add_argument("--out", help="write the CSV here as well as stdout")
 
     return parser

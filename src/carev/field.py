@@ -124,9 +124,6 @@ class PrimeField:
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
-    def frobenius(self, a):
-        return a % self.p
-
     def embed(self, x: int):
         return x % self.p
 
@@ -730,71 +727,48 @@ def squarefree_decomposition(f: Poly):
     return result
 
 
-def squarefree_part(f: Poly) -> Poly:
-    prod = Poly.one(f.field)
-    for g, _ in squarefree_decomposition(f):
-        prod = prod * g
-    return prod
+def _distinct_degree_parts(f: Poly):
+    """Distinct-degree factorization of a monic squarefree f over GF(p):
+    yields (d, monic product of the irreducible factors of degree d), d
+    ascending.  Step d raises h = x^(p^(d-1)) mod rem to the p-th power and
+    splits off gcd(h - x, rem); a rem with no factor of degree up to half its
+    own is irreducible.  This is the one Frobenius-gcd loop: the first part
+    alone is Ben-Or's irreducibility test."""
+    field = f.field
+    x = Poly.x(field)
+    rem, d = f, 0
+    ctx = _ModCtx(field, rem)
+    h = ctx.from_poly(x % rem)
+    while 2 * (d + 1) <= rem.degree:
+        d += 1
+        h = ctx.pow(h, field.p)
+        hp = ctx.to_poly(h)
+        g = (hp - x).gcd(rem)
+        if g.degree > 0:
+            yield d, g
+            rem = rem // g
+            ctx = _ModCtx(field, rem)
+            h = ctx.from_poly(hp % rem)
+    if rem.degree > 0:
+        yield rem.degree, rem
 
 
 def factor_distinct_degree(f: Poly):
-    """Distinct-degree factorization of a monic squarefree f over GF(p).
-
-    Returns [(d, product of all irreducible factors of degree d)], d ascending.
+    """Distinct-degree factorization of a squarefree f over GF(p):
+    [(d, monic product of all irreducible factors of degree d)], d ascending.
     """
     if f.degree < 1:
         raise InputError("degree must be >= 1")
     f = f.monic()
     if f.gcd(f.derivative()).degree != 0:
         raise NotSquarefree("input shares a factor with its derivative")
-    field = f.field
-    p = field.p
-    out = []
-    rem = f
-    ctx = _ModCtx(field, rem)
-    h = ctx.from_poly(Poly.x(field) % rem)
-    d = 0
-    while rem.degree > 2 * d:
-        d += 1
-        h = ctx.pow(h, p)
-        hp = ctx.to_poly(h)
-        g = (hp - Poly.x(field)).gcd(rem)
-        if g.degree > 0:
-            out.append((d, g.monic()))
-            rem = (rem // g).monic()
-            if rem.degree == 0:
-                break
-            ctx = _ModCtx(field, rem)
-            h = ctx.from_poly(hp % rem)
-    if rem.degree > 0:
-        out.append((rem.degree, rem))
-    return out
+    return list(_distinct_degree_parts(f))
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin test for a monic polynomial over GF(p)."""
-    k = f.degree
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    field = f.field
-    p = field.p
-    ctx = _ModCtx(field, f.monic())
-    x = ctx.from_poly(Poly.x(field) % f)
-    # x^(p^j) mod f for j = 1..k via repeated Frobenius.
-    powers = {}
-    h = x
-    for j in range(1, k + 1):
-        h = ctx.pow(h, p)
-        powers[j] = h
-    if not np.array_equal(powers[k], x):
-        return False
-    for q in _prime_divisors(k):
-        hp = ctx.to_poly(powers[k // q])
-        if (hp - Poly.x(field)).gcd(f).degree != 0:
-            return False
-    return True
+    """Ben-Or test over GF(p): f is irreducible iff its first distinct-degree
+    part is f itself (a repeated factor shows up as a smaller first part)."""
+    return f.degree >= 1 and next(_distinct_degree_parts(f.monic()))[0] == f.degree
 
 
 def _prime_divisors(n: int):
@@ -861,15 +835,13 @@ def _split_step(g: Poly, d: int, rng: random.Random) -> Poly:
             return c
 
 
-def equal_degree_factor(f: Poly, d: int, rng: random.Random | None = None):
+def equal_degree_factor(f: Poly, d: int):
     """Split a monic product of distinct degree-d irreducibles (Cantor-Zassenhaus).
 
-    Works over GF(p) and over extension fields; seeded deterministically when
-    no RNG is supplied.
+    Works over GF(p) and over extension fields, seeded from f and d.
     """
     field = f.field
-    if rng is None:
-        rng = random.Random(_seed_for("edf", repr(field), f.coeffs, d))
+    rng = random.Random(_seed_for("edf", repr(field), f.coeffs, d))
     out = []
 
     def split(g: Poly):
@@ -889,7 +861,7 @@ def factor_irreducible(f: Poly):
     """Full factorization over GF(p): list of (monic irreducible, multiplicity)."""
     out = []
     for g, mult in squarefree_decomposition(f):
-        for d, prod in factor_distinct_degree(g):
+        for d, prod in _distinct_degree_parts(g):
             for irr in equal_degree_factor(prod, d):
                 out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
@@ -914,9 +886,9 @@ def splitting_field(polys):
             raise FieldMismatch("polynomials over different prime fields")
         if f.degree == 0:
             continue
-        g = squarefree_part(f.monic())
-        for d, _ in factor_distinct_degree(g):
-            K = math.lcm(K, d)
+        for g, _ in squarefree_decomposition(f):
+            for d, _ in factor_distinct_degree(g):
+                K = math.lcm(K, d)
     if K == 1:
         return base
     if K > MAX_EXT_DEGREE:

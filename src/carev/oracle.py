@@ -152,7 +152,7 @@ class SpanTracker:
         return len(self.rows)
 
 
-def char_poly(m: FMatrix, size_cap: int = CHAR_POLY_CAP) -> Poly:
+def char_poly(m: FMatrix) -> Poly:
     """Monic characteristic polynomial det(xI - m), exact over the field.
 
     Uses a similarity reduction to Hessenberg form followed by the standard
@@ -160,8 +160,8 @@ def char_poly(m: FMatrix, size_cap: int = CHAR_POLY_CAP) -> Poly:
     """
     if not m.is_square:
         raise ShapeMismatch("characteristic polynomial of a non-square matrix")
-    if m.rows > size_cap:
-        raise SizeCapExceeded(f"size {m.rows} exceeds the cap {size_cap}")
+    if m.rows > CHAR_POLY_CAP:
+        raise SizeCapExceeded(f"size {m.rows} exceeds the cap {CHAR_POLY_CAP}")
     field = m.field
     n = m.rows
     h = _lists(m)

@@ -45,6 +45,7 @@ from .errors import (
     NotReversible,
     Singular,
     SizeCapExceeded,
+    UnsupportedRange,
 )
 from .field import (
     Poly,
@@ -76,7 +77,13 @@ class AxisSpectrum:
 
 
 def axis_char_poly(rule: RuleSpec, axis: int) -> Poly:
-    """Characteristic polynomial of the axis block over GF(p)."""
+    """Characteristic polynomial of the axis block over GF(p); an axis longer
+    than MATRIX_SIZE_CAP cells is refused."""
+    if rule.dims[axis] > MATRIX_SIZE_CAP:
+        raise UnsupportedRange(
+            f"axis {axis} characteristic polynomial: length {rule.dims[axis]} "
+            f"exceeds the cap {MATRIX_SIZE_CAP}"
+        )
     field = rule.field
     ell, r = rule.effective_bands(axis)
     if len(ell) == 1:

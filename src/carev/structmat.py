@@ -18,7 +18,6 @@ from .field import (
     ExtField,
     PrimeField,
     _dtype_for,
-    _reduce_planes,
     coord_matmul,
     coord_mul,
 )
@@ -215,20 +214,9 @@ def kron_product(a: FMatrix, b: FMatrix) -> FMatrix:
         raise FieldMismatch("Kronecker product needs a common field")
     field = a.field
     k = getattr(field, "k", 1)
-    p = field.char
-    shape = (a.rows * b.rows, a.cols * b.cols, 2 * k - 1)
-    out = np.zeros(shape, dtype=a.data.dtype)
-    for i in range(k):
-        plane_a = a.data[:, :, i]
-        if not plane_a.any():
-            continue
-        for j in range(k):
-            plane_b = b.data[:, :, j]
-            if not plane_b.any():
-                continue
-            out[:, :, i + j] += np.kron(plane_a, plane_b)
-    out %= p  # each plane sums <= k products below p^2: < 2^56 in int64
-    return FMatrix(field, _reduce_planes(out, field))
+    # Entry (i, i', j, j') is a[i, j] * b[i', j']: one broadcast field product.
+    out = coord_mul(field, a.data[:, None, :, None], b.data[None, :, None, :])
+    return FMatrix(field, out.reshape(a.rows * b.rows, a.cols * b.cols, k))
 
 
 def kron_sum(a: FMatrix, b: FMatrix) -> FMatrix:

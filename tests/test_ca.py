@@ -106,7 +106,7 @@ def test_build_T_one_dimensional():
 def test_build_T_size_cap():
     rule = _rule(dims=(20, 20, 20))
     with pytest.raises(SizeCapExceeded):
-        build_T(rule, size_cap=4096)
+        build_T(rule)
 
 
 def test_axis_matrix_band_truncation():

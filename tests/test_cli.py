@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -180,6 +181,25 @@ def test_unsupported_range_exits_4(tmp_path, capsys):
     rule = _write_rule(tmp_path, p=2**31 + 11)
     assert main(["check", rule]) == 4
     assert "supported range" in capsys.readouterr().err
+
+
+def test_axis_past_the_cap_exits_4_at_once(tmp_path, capsys):
+    # A 1-D axis of 10^20 cells: its characteristic polynomial is refused
+    # before any work, by every command that decides reversibility.
+    n = 10**20
+    rule = _write_rule(tmp_path, p=5, dims=(n,))
+    for argv in (["check"], ["roots"], ["jordan"], ["invert", "--out", str(tmp_path / "m")]):
+        t0 = time.perf_counter()
+        assert main(argv[:1] + [rule] + argv[1:]) == 4
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert str(MATRIX_SIZE_CAP) in err and str(n) in err
+    # evolve never decides, so a 5000-cell axis still runs.
+    rule = _write_rule(tmp_path, p=5, dims=(5000,))
+    pattern = _write_random_pattern(tmp_path, 5, (5000,), seed=3)
+    out = tmp_path / "out.txt"
+    assert main(["evolve", rule, pattern, "--steps", "2", "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_evolve_dimension_mismatch(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from carev.errors import (
     DivisionByZero,
@@ -23,7 +25,6 @@ from carev.field import (
     roots_with_multiplicity,
     splitting_field,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 
@@ -138,7 +139,7 @@ def test_squarefree_decomposition_char_p():
     assert (Poly.from_ints(F, [1, 1]), 3) in parts
 
 
-def test_squarefree_part_random():
+def test_squarefree_decomposition_random():
     rng = random.Random(9)
     for _ in range(40):
         p = rng.choice([2, 3, 5])
@@ -148,8 +149,15 @@ def test_squarefree_part_random():
             g = Poly(F, [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1])
             for _ in range(rng.randint(1, 3)):
                 f = f * g
-        sf = squarefree_part(f)
-        assert sf.gcd(sf.derivative()).degree == 0 or sf.derivative().is_zero
+        parts = squarefree_decomposition(f)
+        prod = Poly.one(F)
+        for i, (g, mult) in enumerate(parts):
+            assert g.degree > 0 and g.gcd(g.derivative()).degree == 0
+            for h, _ in parts[i + 1 :]:
+                assert g.gcd(h).degree == 0
+            for _ in range(mult):
+                prod = prod * g
+        assert prod == f.monic()
 
 
 def test_factor_distinct_degree_requires_squarefree():
@@ -172,6 +180,26 @@ def test_is_irreducible_examples():
     assert not is_irreducible(Poly.from_ints(F2, [1, 0, 1]))  # (x+1)^2
     F5 = PrimeField(5)
     assert is_irreducible(Poly.from_ints(F5, [2, 0, 1]))  # x^2 + 2
+
+
+def _sympy_irreducible(f):
+    """sympy's irreducibility test, on the big-endian coefficient list."""
+    return gf_irreducible_p([int(c) for c in reversed(f.coeffs)], f.field.p, ZZ)
+
+
+def test_is_irreducible_matches_sympy():
+    # Random polynomials of degree 1-12, a third of them squares, so that
+    # repeated factors are covered; leading coefficients are not forced to 1.
+    rng = random.Random(31)
+    for _ in range(400):
+        p = rng.choice([2, 3, 5, 13, 33554393])
+        F = PrimeField(p)
+        square = rng.random() < 1 / 3
+        n = rng.randint(1, 6) if square else rng.randint(1, 12)
+        f = Poly(F, [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)])
+        if square:
+            f = f * f
+        assert is_irreducible(f) == _sympy_irreducible(f), f
 
 
 def test_equal_degree_factor_deterministic():
@@ -292,7 +320,7 @@ def _canonical_modulus_by_full_scan(p, k):
     F = PrimeField(p)
     for n in range(p**k):
         cand = Poly(F, [n // p**i % p for i in range(k)] + [1])
-        if is_irreducible(cand):
+        if _sympy_irreducible(cand):
             return cand.coeffs
     raise AssertionError("no irreducible polynomial")
 
