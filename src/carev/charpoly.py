@@ -16,7 +16,6 @@ and GF(p^K) arithmetic alone, so no command but ``paper-examples`` loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InputError
@@ -26,31 +25,18 @@ if TYPE_CHECKING:
     import sympy
 
 
-@dataclass(frozen=True)
-class GPoly:
-    """Degree-j block characteristic polynomial together with its parameters."""
-
-    j: int
-    product: object  # t1*t2 as a field element
-    poly: Poly
-
-    @property
-    def field(self):
-        return self.poly.field
-
-
-def g_poly(field, j: int, t1t2) -> GPoly:
+def g_poly(field, j: int, t1t2) -> Poly:
     """Build the degree-j polynomial by the three-term recurrence."""
     if j < 0:
         raise InputError("order must be >= 0")
     t = field.elem(t1t2)
     prev = Poly.one(field)
     if j == 0:
-        return GPoly(0, t, prev)
+        return prev
     cur = Poly.x(field)
     for _ in range(j - 1):
         prev, cur = cur, Poly.x(field) * cur - prev.scale(t)
-    return GPoly(j, t, cur)
+    return cur
 
 
 def g_poly_closed(field, j: int, t1t2) -> Poly:

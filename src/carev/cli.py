@@ -285,7 +285,7 @@ def _ex_gf9_witness(golden_dir):
 def _ex_quartic_roots(golden_dir):
     """The degree-4 axis polynomial over GF(5) has two double roots."""
     field = PrimeField(5)
-    f = g_poly(field, 4, 1).poly
+    f = g_poly(field, 4, 1)
     E = splitting_field([f])
     roots = roots_with_multiplicity(f, E)
     got = " ".join(f"{E.render(lam)}^{m}" for lam, m in roots) + "\n"
@@ -337,11 +337,11 @@ def _ex_gcd_anomaly(golden_dir):
     import sympy
 
     field = PrimeField(3)
-    g4 = g_poly(field, 4, 1).poly
+    g4 = g_poly(field, 4, 1)
     x = sympy.symbols("x")
     lines = []
     for j in (78, 79):
-        gp = g4.gcd(g_poly(field, j, 1).poly)
+        gp = g4.gcd(g_poly(field, j, 1))
         gq = sympy.gcd(g_rational(4).as_expr(), g_rational(j).as_expr(), x)
         deg_q = sympy.Poly(gq, x).degree() if gq != 1 else 0
         lines.append(f"pair (4, {j}): rational gcd degree {deg_q}, mod-3 gcd {gp!r}")

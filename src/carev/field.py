@@ -8,8 +8,10 @@ Arrays of elements are coordinate arrays: an integer array whose last axis
 holds the k polynomial-basis coordinates of each element (k = 1 for a prime
 field).  This module owns their storage rules (``_dtype_for``), the plane
 layout of their products and the reduction rows of the modulus; every array
-product goes through ``coord_mul`` (elementwise) or ``coord_matmul``
-(matrix product).
+product goes through ``coord_mul`` (elementwise) or ``coord_contract``
+(matrix product, with ``coord_matmul`` its plain (r, m, k) @ (m, c, k)
+form), which holds the one overflow rule: float64 BLAS while sums stay below
+2^53, exact integer products past that.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
 from .errors import (
     DivisionByZero,
     DoesNotSplit,
@@ -306,18 +307,21 @@ class ExtField:
 
 
 class Poly:
-    """Dense univariate polynomial over a field, little-endian coefficients."""
+    """Dense univariate polynomial over a field, little-endian coefficients.
+
+    The constructor takes field elements as given (ints in [0, p), or
+    k-tuples of them); ``from_ints`` is the entry for arbitrary integers."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        coeffs = [field.elem(c) if not _is_elem(field, c) else c for c in coeffs]
+        coeffs = tuple(coeffs)
         n = len(coeffs)
         zero = field.zero
         while n and coeffs[n - 1] == zero:
             n -= 1
         self.field = field
-        self.coeffs = tuple(coeffs[:n])
+        self.coeffs = coeffs[:n]
 
     @classmethod
     def zero(cls, field):
@@ -492,12 +496,6 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _is_elem(field, c):
-    if isinstance(field, PrimeField):
-        return isinstance(c, int) and 0 <= c < field.p
-    return isinstance(c, tuple) and len(c) == field.k
-
-
 def poly_extgcd(f: Poly, g: Poly):
     """Extended Euclid: returns (d, u, v) with u*f + v*g = d."""
     F = f.field
@@ -589,27 +587,81 @@ def coord_inv(field, a):
     return result
 
 
-def coord_matmul(field, a, b):
-    """Matrix product (r, m, k) @ (m, c, k) -> (r, c, k) of coordinate arrays.
+_EXACT = 1 << 53  # float64 holds every integer up to 2^53 exactly
 
-    GF(p) in int64 is ``kernels.matmul_mod``.  Otherwise coordinate plane i
-    of a times every plane of b is one (r, m) @ (m, c k) product, added into
-    convolution planes i .. i+k-1.  The planes are reduced mod p once, after
-    the last product, when ``_one_reduction`` allows (delayed reduction as in
-    FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), else
-    after each, and then folded to k coordinates."""
+
+def coord_contract(field, a, xs, bound: int):
+    """The one exact matrix product: the (r, m, k) coordinate array a times
+    each (m, B) slab of the planes-first (k, A, m, B) block xs.  The entries
+    of xs are integers in [0, bound], in any numeric dtype: bound is p - 1 for
+    reduced entries, or the bound returned with a float64 block.  Returns the
+    (k, A, r, B) block and the bound of its entries.
+
+    Coordinate plane i of a times the live planes of xs is one product into
+    convolution planes i .. i+k-1 (one GEMM over all A slabs when B = 1), and
+    one product with ``field._red_np`` folds the 2k-1 planes to k.  This
+    runs in float64 BLAS, exact while every sum stays below 2^53: all
+    operands are nonnegative, and entries in [0, b] leave in
+    [0, b k m (p-1) (1 + (k-1)(p-1))], since each plane sums at most k plane
+    pairs of m terms and the fold adds k-1 high planes times rows below p.
+    The block is reduced mod p first only when that bound would pass 2^53
+    (delayed reduction as in FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM
+    TOMS 35(3), 2008).  A product past 2^53 even from reduced entries, and
+    every product in object storage (p >= 2^25), runs the same loop in a's
+    storage instead, reduced mod p after each plane product unless
+    ``_one_reduction`` allows once, and returns a reduced block; int64 holds
+    a plane product while m <= 2^13 (see ``_dtype_for``)."""
     p, k = field.char, field.k
-    if k == 1 and a.dtype != object:
-        return kernels.matmul_mod(a[:, :, 0], b[:, :, 0], p)[:, :, None]
-    r, m, c = a.shape[0], a.shape[1], b.shape[1]
-    bflat = b.reshape(m, c * k)
-    out = np.zeros((r, c, 2 * k - 1), dtype=a.dtype)
-    once = _one_reduction(out.dtype, k, m, p)
-    for i in range(k):
-        out[:, :, i : i + k] += (np.ascontiguousarray(a[:, :, i]) @ bflat).reshape(r, c, k)
-        if not once or i == k - 1:
-            out %= p
-    return _reduce_planes(out, field)
+    r, m = a.shape[:2]
+    grow = k * m * (p - 1) * (1 + (k - 1) * (p - 1))
+    if bound > p - 1 and bound * grow > _EXACT:
+        xs = xs.astype(np.int64)
+        xs %= p  # int64 %, casts included, beats float % and np.fmod
+        bound = p - 1
+    exact = a.dtype == object or bound * grow > _EXACT
+    dt = a.dtype if exact else np.float64
+    ap = np.ascontiguousarray(a.transpose(2, 0, 1), dtype=dt)
+    xs = np.ascontiguousarray(xs, dtype=dt)
+    if k == 1:
+        y = _plane_product(ap[0], xs)
+    else:
+        y = np.zeros((2 * k - 1, xs.shape[1], r, xs.shape[3]), dtype=dt)
+        live = np.flatnonzero(xs.any(axis=(1, 2, 3)))
+        if live.size:
+            once = not exact or _one_reduction(dt, k, m, p)
+            lo, hi = int(live[0]), int(live[-1]) + 1
+            xl = xs[lo:hi]
+            for i, nonzero in enumerate(ap.any(axis=(1, 2)).tolist()):
+                if nonzero:
+                    y[i + lo : i + hi] += _plane_product(ap[i], xl)
+                    if not once:
+                        y %= p
+            flat = y.reshape(2 * k - 1, -1)
+            if exact:
+                flat %= p
+            flat[:k] += field._red_np.T.astype(dt) @ flat[k:]
+        y = y[:k]
+    if exact:
+        return y % p, p - 1
+    return y, bound * grow
+
+
+def _plane_product(ai, xs):
+    """The (r, m) plane ai times each (m, B) slab of the (h, A, m, B) block
+    xs; for B = 1 the slabs are the rows of one (h A, m) matrix."""
+    h, a, m, b = xs.shape
+    if b == 1:
+        return (xs.reshape(h * a, m) @ ai.T).reshape(h, a, len(ai), 1)
+    return ai @ xs
+
+
+def coord_matmul(field, a, b):
+    """Matrix product (r, m, k) @ (m, c, k) -> (r, c, k) of coordinate
+    arrays: one ``coord_contract`` on the (k, 1, m, c) view of b."""
+    y, _ = coord_contract(field, a, b.transpose(2, 0, 1)[:, None], field.char - 1)
+    y = y[:, 0].transpose(1, 2, 0).astype(a.dtype)
+    y %= field.char
+    return y
 
 
 def _power_rows(field, h):

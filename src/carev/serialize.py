@@ -35,14 +35,23 @@ def atomic_write_text(path: str, text: str) -> None:
 # -- rules -------------------------------------------------------------------
 
 
-def read_rule(path: str) -> RuleSpec:
+def _read_text(path: str, kind: str) -> str:
+    """The file's text; unreadable or non-UTF-8 files are bad input."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{kind} file {path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def read_rule(path: str) -> RuleSpec:
+    text = _read_text(path, "rule")
+    try:
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"rule file {path} is not valid JSON: {exc}") from exc
-    except OSError as exc:
-        raise InputError(f"cannot read rule file {path}: {exc}") from exc
     return RuleSpec.from_json(obj)
 
 
@@ -75,6 +84,8 @@ def parse_pattern(text: str) -> Pattern:
         if d < 1 or len(tokens) < d + 2:
             raise ValueError
         dims = tuple(int(t) for t in tokens[1 : d + 1])
+        if min(dims) < 1:
+            raise ValueError
         p = int(tokens[d + 1])
         values = [int(t) for t in tokens[d + 2 :]]
     except ValueError as exc:
@@ -88,11 +99,7 @@ def parse_pattern(text: str) -> Pattern:
 
 
 def read_pattern(path: str) -> Pattern:
-    try:
-        with open(path) as fh:
-            return parse_pattern(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read pattern file {path}: {exc}") from exc
+    return parse_pattern(_read_text(path, "pattern"))
 
 
 def write_pattern(pattern: Pattern, path: str) -> None:
@@ -132,11 +139,7 @@ def parse_matrix(text: str) -> FMatrix:
 
 
 def read_matrix(path: str) -> FMatrix:
-    try:
-        with open(path) as fh:
-            return parse_matrix(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read matrix file {path}: {exc}") from exc
+    return parse_matrix(_read_text(path, "matrix"))
 
 
 def write_matrix(m: FMatrix, path: str) -> None:

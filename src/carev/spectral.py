@@ -87,7 +87,7 @@ def axis_char_poly(rule: RuleSpec, axis: int) -> Poly:
     field = rule.field
     ell, r = rule.effective_bands(axis)
     if len(ell) == 1:
-        f = g_poly(field, rule.dims[axis], field.mul(ell[0], r[0])).poly
+        f = g_poly(field, rule.dims[axis], field.mul(ell[0], r[0]))
     else:
         f = oracle.char_poly(axis_matrix(rule, axis))
     if axis == 0 and rule.c:

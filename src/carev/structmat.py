@@ -4,7 +4,9 @@ Kronecker sums, and fast multiplication by Kronecker-factored matrices.
 
 An FMatrix stores its entries as a (rows, cols, k) coordinate array of
 ``carev.field``, whose storage rules (dtype, plane layout, reduction) it
-follows; products go through ``field.coord_matmul`` and ``field.coord_mul``.
+follows.  Every product goes through ``field.coord_mul`` (elementwise) or
+``field.coord_contract`` (matrix products, of which ``field.coord_matmul``
+is the plain form); this module holds no overflow rule of its own.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .field import (
     ExtField,
     PrimeField,
     _dtype_for,
+    coord_contract,
     coord_matmul,
     coord_mul,
 )
@@ -247,60 +250,14 @@ def kron_many(factors) -> FMatrix:
 # ---------------------------------------------------------------------------
 
 
-_EXACT = 1 << 53  # float64 holds every integer up to 2^53 exactly
-
-
-def _contract_float(f, xs, red):
-    """f times each (n, B) slab of the planes-first (k, A, n, B) float64
-    block xs, in float64 BLAS, skipping all-zero planes of either operand;
-    red is the transposed reduction rows, or None for k = 1."""
-    k, n = xs.shape[0], f.rows
-    live = np.flatnonzero(xs.any(axis=(1, 2, 3)))
-    if not live.size:
-        return xs
-    lo, hi = int(live[0]), int(live[-1]) + 1
-    xl = xs[lo:hi]
-    fp = np.ascontiguousarray(f.data.transpose(2, 0, 1), dtype=np.float64)
-    conv = np.zeros((2 * k - 1,) + xs.shape[1:])
-    for i in range(k):
-        if not fp[i].any():
-            continue
-        if xs.shape[3] == 1:  # rows of xl are the vectors: one GEMM, not A matvecs
-            conv[i + lo : i + hi] += (xl.reshape(-1, n) @ fp[i].T).reshape(xl.shape)
-        else:
-            conv[i + lo : i + hi] += np.matmul(fp[i], xl)
-    if red is None:
-        return conv
-    flat = conv.reshape(2 * k - 1, -1)
-    flat[:k] += red @ flat[k:]
-    return conv[:k]
-
-
-def _contract_exact(field, f, xs):
-    """The same contraction by ``coord_matmul`` in f's storage, for blocks
-    the float64 bound cannot hold; the result is reduced mod p."""
-    k, a, n, b = xs.shape
-    y = coord_matmul(field, f.data, np.ascontiguousarray(
-        xs.transpose(2, 1, 3, 0), dtype=f.data.dtype).reshape(n, a * b, k))
-    return np.ascontiguousarray(y.reshape(n, a, b, k).transpose(3, 1, 0, 2), dtype=xs.dtype)
-
-
 def kron_dot(factors, m: FMatrix) -> FMatrix:
     """(factors[0] ⊗ ... ⊗ factors[-1]) @ m without materializing the product.
 
-    m is copied once to planes-first (k, rows, cols) float64, and factor t
-    of size n is one contraction over its (k, A, n, B) view: each live
-    coordinate plane of the factor times the live planes of the block, as
-    float64 BLAS products into the 2k-1 convolution planes, which one
-    product with ``field._red_np`` folds to k.  All operands are nonnegative
-    integers, so every partial sum is exact while the result stays below
-    2^53.  Entries in [0, b] leave an axis in [0, b k n (p-1) (1 + (k-1)(p-1))]:
-    each plane sums at most k plane pairs of n terms, and the fold adds k-1
-    high planes times rows below p.  The block is reduced mod p only before
-    an axis that would pass 2^53 (delayed reduction as in FFLAS-FFPACK:
-    Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  An axis that passes it
-    even from reduced entries, and every axis of object storage (p >= 2^25),
-    goes through ``coord_matmul`` instead."""
+    m is viewed planes-first as (k, rows, cols), and factor t of size n is
+    one ``field.coord_contract`` over the block's (k, A, n, B) view.  The
+    entry bound it returns is carried to the next factor, so the block is
+    reduced mod p only where the contraction needs it, and once at the end
+    by the FMatrix constructor."""
     field = m.field
     for f in factors:
         if f.field != field:
@@ -310,25 +267,12 @@ def kron_dot(factors, m: FMatrix) -> FMatrix:
     sizes = [f.rows for f in factors]
     if math.prod(sizes) != m.rows:
         raise ShapeMismatch("factor sizes do not multiply to the row count")
-    p, k = field.char, getattr(field, "k", 1)
-    exact = m.data.dtype == object
-    x = np.ascontiguousarray(m.data.transpose(2, 0, 1), dtype=object if exact else np.float64)
-    red = None if k == 1 else field._red_np.T.astype(np.float64)
-    bound = p - 1  # the largest entry x may hold
+    k = m.data.shape[2]
+    x, bound = m.data.transpose(2, 0, 1), field.char - 1
     a, b = 1, m.rows * m.cols
     for n, f in zip(sizes, factors):
         b //= n
-        xs = x.reshape(k, a, n, b)
-        grow = k * n * (p - 1) * (1 + (k - 1) * (p - 1))
-        if bound * grow > _EXACT and bound > p - 1:
-            xi = xs.astype(np.int64)
-            xi %= p  # int64 %, casts included, beats float % and np.fmod
-            xs[...] = xi
-            bound = p - 1
-        if exact or bound * grow > _EXACT:
-            x, bound = _contract_exact(field, f, xs), p - 1
-        else:
-            x, bound = _contract_float(f, xs, red), bound * grow
+        x, bound = coord_contract(field, f.data, x.reshape(k, a, n, b), bound)
         a *= n
     return FMatrix(field, x.reshape(k, m.rows, m.cols).transpose(1, 2, 0))
 

@@ -14,6 +14,7 @@ import carev
 from carev import serialize
 from carev.ca import Pattern, RuleSpec, evolve_local
 from carev.cli import main
+from carev.errors import InputError
 from carev.spectral import GenJordan
 from carev.structmat import MATRIX_SIZE_CAP
 
@@ -80,6 +81,46 @@ def test_check_rejects_malformed_rule_json(tmp_path, capsys, key, value):
     path.write_text(json.dumps(rule))  # inf is written as Infinity
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+_NOT_UTF8 = b"\xff\xfe\x00garbage"
+
+
+@pytest.mark.parametrize("kind, content", [
+    ("rule", _NOT_UTF8),
+    ("pattern", _NOT_UTF8),
+    ("pattern", b"2 -2 -2 5\n1 2 3 4\n"),  # (-2)(-2) = 4 values
+    ("pattern", b"2 -1 -1 5\n1\n"),
+])
+def test_malformed_input_file_exits_2(tmp_path, capsys, kind, content):
+    # Bytes that are not UTF-8 text, and a pattern header whose negative
+    # dimensions multiply to the value count, are bad input: exit 2 with an
+    # error line, never a traceback.
+    rule = _write_rule(tmp_path, p=5, dims=(2, 2))
+    pattern = _write_random_pattern(tmp_path, 5, (2, 2), seed=0)
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_bytes(content)
+    if kind == "rule":
+        rule = str(bad)
+        runs = [["check", rule]]
+    else:
+        pattern = str(bad)
+        runs = []
+    runs.append(["evolve", rule, pattern, "--steps", "1", "--out", str(tmp_path / "out.txt")])
+    for argv in runs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        if content == _NOT_UTF8:
+            assert str(bad) in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_non_utf8_matrix_file_is_input_error(tmp_path):
+    bad = tmp_path / "m.txt"
+    bad.write_bytes(_NOT_UTF8)
+    with pytest.raises(InputError, match=str(bad)):
+        serialize.read_matrix(str(bad))
 
 
 def test_invert_writes_verified_matrix(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from int_reference import int_product
 
 from carev.errors import BandTooWide, FieldMismatch, ShapeMismatch
 from carev.field import ExtField, PrimeField, _one_reduction, canonical_modulus, coord_mul
@@ -234,13 +235,20 @@ def _kron_dot_cases():
     # GF(p), k = 1.
     F = PrimeField(11)
     yield F, [rand(F, (n, n)) for n in (3, 2, 4)], rand(F, (24, 2))
+    # GF(p) just below 2^25: one 4 x 4 axis takes the bound to 4 (p-1)^2 <
+    # 2^52, and the block is reduced before the second axis; unreduced, its
+    # exact integer products would pass 2^63.
+    F = PrimeField(33554393)
+    yield F, [rand(F, (4, 4)) for _ in range(2)], rand(F, (16, 2))
 
 
 def test_kron_dot_float_schedule_matches_kron_many():
+    # kron_many @ m would run the same contraction as kron_dot; the product
+    # is taken in Python ints instead.
     for E, factors, m in _kron_dot_cases():
         got = kron_dot(factors, m)
         assert got.field == E and got.data.dtype == np.int64
-        assert got == kron_many(factors) @ m
+        assert got == int_product(kron_many(factors), m)
 
 
 def test_plane_sums_past_the_int64_bound_stay_exact():
